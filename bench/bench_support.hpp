@@ -1,12 +1,12 @@
 // Shared experiment environment for the bench binaries.
 //
 // Every bench accepts --scale={smoke,default,paper} plus overrides, builds
-// the same seeded synthetic-RockYou split (DESIGN.md substitution #1) and
-// trains models with architecture ratios matching §IV-D. "paper" uses the
-// paper's exact hyper-parameters (18x256x2 couplings, 300K train, 400
-// epochs, 10^8 guesses) and exists for completeness — it is not expected to
-// run in CI-sized time budgets. EXPERIMENTS.md records which scale produced
-// the committed outputs.
+// the same seeded synthetic-RockYou split (the leaked RockYou list cannot
+// be shipped; see data/synthetic_rockyou.hpp) and trains models with
+// architecture ratios matching §IV-D. "paper" uses the paper's exact
+// hyper-parameters (18x256x2 couplings, 300K train, 400 epochs, 10^8
+// guesses) and exists for completeness — it is not expected to run in
+// CI-sized time budgets.
 #pragma once
 
 #include <cstdio>
@@ -19,7 +19,7 @@
 #include "baselines/markov.hpp"
 #include "data/synthetic_rockyou.hpp"
 #include "flow/trainer.hpp"
-#include "guessing/harness.hpp"
+#include "guessing/session.hpp"
 #include "util/csv.hpp"
 #include "util/flags.hpp"
 #include "util/logging.hpp"
@@ -32,7 +32,9 @@ struct BenchScale {
   std::size_t corpus_size = 120000;
   std::size_t train_size = 24000;
   std::size_t max_length = 8;  // paper uses 10; 8 keeps CPU training sane
-  bool focused_corpus = true;  // reduced pattern support (DESIGN.md §2)
+  // Reduced pattern support (data::focused_corpus_config), so a
+  // CPU-trained flow reaches the matchable part of the distribution.
+  bool focused_corpus = true;
   // Flow architecture (paper: 18 couplings, hidden 256, 2 blocks).
   std::size_t couplings = 10;
   std::size_t hidden = 128;
@@ -46,8 +48,7 @@ struct BenchScale {
   std::size_t flow_train_divisor = 4;
   // Guess budgets reported in the tables (paper: 1e4..1e8). 3e5 is the
   // largest budget that keeps the full bench suite within ~30 CPU-minutes;
-  // pass --budget to extend (1e6 reproduces the calibration runs in
-  // EXPERIMENTS.md).
+  // pass --budget to extend.
   std::vector<std::size_t> budgets = {10000, 100000, 300000};
   // Baseline training epochs.
   std::size_t baseline_epochs = 10;
@@ -206,15 +207,17 @@ inline std::unique_ptr<baselines::Gan> train_gan(
 inline guessing::RunResult run_schedule(guessing::GuessGenerator& generator,
                                         const guessing::Matcher& matcher,
                                         const BenchScale& scale) {
-  guessing::HarnessConfig config;
+  guessing::SessionConfig config;
   config.budget = scale.budgets.back();
   config.checkpoints = scale.budgets;
   // Parallel matching plus pipelined generation (a no-op for feedback
   // generators); metrics stay identical to a serial run.
   config.pool = &util::shared_pool();
-  config.overlap_generation = true;
+  config.pipeline_depth = 1;
   util::Timer timer;
-  auto result = run_guessing(generator, matcher, config);
+  guessing::AttackSession session(generator, matcher, config);
+  session.run();
+  auto result = session.result();
   PF_LOG_INFO << generator.name() << ": " << result.final().matched
               << " matched / " << result.final().unique << " unique in "
               << util::format_duration(timer.elapsed_seconds());

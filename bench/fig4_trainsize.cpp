@@ -41,9 +41,11 @@ int main(int argc, char** argv) {
     pf::guessing::StaticSamplerConfig config;
     config.seed = scale.seed + 70;
     pf::guessing::StaticSampler sampler(*model, env.encoder, config);
-    pf::guessing::HarnessConfig harness;
-    harness.budget = budget;
-    return run_guessing(sampler, matcher, harness).final().matched;
+    pf::guessing::SessionConfig session_config;
+    session_config.budget = budget;
+    pf::guessing::AttackSession session(sampler, matcher, session_config);
+    session.run();
+    return session.result().final().matched;
   };
 
   const std::size_t baseline_matches = evaluate(base);

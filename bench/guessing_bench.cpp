@@ -8,9 +8,11 @@
 //
 // The "before" arm reimplements the seed harness verbatim (one std::async
 // ahead, pooled membership when >1 worker, serial unordered_set
-// bookkeeping) because run_guessing is now a wrapper over the session
-// engine. Every arm's final metrics are cross-checked for equality before
-// anything is reported, so a speedup can never come from dropping work.
+// bookkeeping), since the library keeps only the AttackSession engine.
+// The "after" arms run that engine, whose tracker drain runs on the pool
+// behind the consuming thread. Every arm's final metrics are cross-checked
+// for equality before anything is reported, so a speedup can never come
+// from dropping work.
 #include <cstdio>
 #include <fstream>
 #include <future>

@@ -11,8 +11,8 @@
 
 #include "data/encoder.hpp"
 #include "flow/flow_model.hpp"
-#include "guessing/harness.hpp"
 #include "guessing/matcher.hpp"
+#include "guessing/session.hpp"
 #include "guessing/static_sampler.hpp"
 #include "nn/gemm.hpp"
 #include "util/rng.hpp"
@@ -159,8 +159,9 @@ void BM_StaticGuessThroughputParallel(benchmark::State& state) {
 }
 BENCHMARK(BM_StaticGuessThroughputParallel);
 
-// End-to-end harness run (generate -> match at 32k budget); range(0)
-// selects the serial loop (0) or pool matching + pipelined generation (1).
+// End-to-end AttackSession run (generate -> match at 32k budget); range(0)
+// selects the serial session (0) or pool matching + pipelined generation
+// one chunk ahead (1).
 void BM_GuessingHarness(benchmark::State& state) {
   pf::util::Rng rng(9);
   pf::flow::FlowModel model(config_for(8, 96), rng);
@@ -180,14 +181,16 @@ void BM_GuessingHarness(benchmark::State& state) {
     config.seed = 42;
     if (parallel) config.pool = &pf::util::shared_pool();
     pf::guessing::StaticSampler sampler(model, encoder, config);
-    pf::guessing::HarnessConfig harness;
-    harness.budget = 32768;
-    harness.chunk_size = 8192;
+    pf::guessing::SessionConfig session_config;
+    session_config.budget = 32768;
+    session_config.chunk_size = 8192;
     if (parallel) {
-      harness.pool = &pf::util::shared_pool();
-      harness.overlap_generation = true;
+      session_config.pool = &pf::util::shared_pool();
+      session_config.pipeline_depth = 1;
     }
-    const auto result = run_guessing(sampler, matcher, harness);
+    pf::guessing::AttackSession session(sampler, matcher, session_config);
+    session.run();
+    const auto result = session.result();
     benchmark::DoNotOptimize(result.checkpoints.data());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 32768);

@@ -2,8 +2,9 @@
 // PassGAN, GAN (Pasquini et al.), CWAE and the three PassFlow variants.
 //
 // The paper reports budgets 10^4..10^8 on the real RockYou split; this bench
-// runs the same protocol at the configured scale (see bench_support.hpp and
-// EXPERIMENTS.md). The property under test is the *ordering*:
+// runs the same protocol on the synthetic RockYou-like split at the
+// configured scale (see bench_support.hpp). The property under test is the
+// *ordering*:
 //   PassFlow-Dynamic+GS > GAN-Pasquini > PassFlow-Dynamic > PassGAN
 //   > PassFlow-Static > CWAE   (at the largest budget)
 // and PassFlow trains on a fraction of the data the baselines see.

@@ -25,10 +25,12 @@ int main(int argc, char** argv) {
   pf::guessing::StaticSamplerConfig sampler_config;
   sampler_config.seed = scale.seed + 30;
   pf::guessing::StaticSampler sampler(*model, env.encoder, sampler_config);
-  pf::guessing::HarnessConfig harness;
-  harness.budget = std::min<std::size_t>(scale.budgets.back(), 100000);
-  harness.non_matched_samples = 36;
-  const auto result = run_guessing(sampler, matcher, harness);
+  pf::guessing::SessionConfig session_config;
+  session_config.budget = std::min<std::size_t>(scale.budgets.back(), 100000);
+  session_config.non_matched_samples = 36;
+  pf::guessing::AttackSession session(sampler, matcher, session_config);
+  session.run();
+  const auto result = session.result();
 
   std::printf("\nTable IV: PassFlow samples that did not match the test set "
               "(scale=%s)\n\n", scale.name.c_str());

@@ -670,7 +670,11 @@ int main(int argc, char** argv) {
   // Drive the session in ~10 slices so progress (and, with --state, a
   // restart point) lands between them rather than only at the end.
   const auto attack = [&](pf::guessing::GuessGenerator& sampler) {
-    pf::guessing::AttackSession session(sampler, matcher, session_config);
+    pf::guessing::SessionConfig config = session_config;
+    // With a producer thread, the pool also keeps the tracker drain off
+    // the consuming thread.
+    config.pool = &pf::util::shared_pool();
+    pf::guessing::AttackSession session(sampler, matcher, config);
     if (!state_path.empty()) {
       std::ifstream saved(state_path, std::ios::binary);
       if (saved.good()) {

@@ -1,7 +1,7 @@
 // GAN baselines: PassGAN (Hitaj et al. [22]) and the improved GAN of
 // Pasquini et al. [33], §VI-A/B.
 //
-// Substitution note (DESIGN.md #3): the originals are Wasserstein GANs with
+// Substitution note: the originals are Wasserstein GANs with
 // gradient penalty; GP needs double backprop, which a manual-backprop stack
 // cannot provide cheaply. We train a non-saturating GAN instead and keep the
 // piece of Pasquini et al. that actually matters for sample quality on this

@@ -1,6 +1,7 @@
 // Loading real password corpora from disk.
 //
-// The repo ships no leaked data (DESIGN.md substitution #1), but a user who
+// The repo ships no leaked data (its experiments run on the synthetic
+// corpus of synthetic_rockyou.hpp instead), but a user who
 // legitimately holds a corpus (e.g. their organization's cracked-password
 // audit, or the real RockYou list) can reproduce the paper's exact protocol
 // with it: one password per line, filtered the way §IV-D describes (length

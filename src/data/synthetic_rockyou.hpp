@@ -1,4 +1,5 @@
-// Synthetic RockYou-like password corpus (DESIGN.md substitution #1).
+// Synthetic RockYou-like password corpus, the stand-in for the leaked
+// RockYou list the paper trains and tests on.
 //
 // The real RockYou leak cannot be shipped; this generator produces a corpus
 // with the statistical properties the PassFlow experiments rely on:
@@ -37,7 +38,7 @@ struct CorpusConfig {
   // Support limiters: cap how many entries of each word list are used
   // (0 = all). Smaller pools concentrate the distribution, putting the
   // guessing experiments into a regime reachable by CPU-scale training
-  // while preserving the heavy-tailed pattern structure (see DESIGN.md §2).
+  // while preserving the heavy-tailed pattern structure.
   std::size_t name_pool = 0;
   std::size_t word_pool = 0;
   std::size_t year_span = 51;  // years sampled from [1960, 1960+span)

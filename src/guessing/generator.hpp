@@ -1,9 +1,9 @@
 // Common interface for anything that emits password guesses.
 //
 // PassFlow's three strategies, the CWAE, the GANs and the Markov baseline all
-// implement this, so one harness (harness.hpp) can evaluate every row of
-// Tables II and III. Generators that exploit match feedback (PassFlow's
-// Dynamic Sampling, Algorithm 1) receive it through on_match().
+// implement this, so one engine (AttackSession, session.hpp) can evaluate
+// every row of Tables II and III. Generators that exploit match feedback
+// (PassFlow's Dynamic Sampling, Algorithm 1) receive it through on_match().
 #pragma once
 
 #include <cstddef>
@@ -21,7 +21,7 @@ class GuessGenerator {
   // Appends exactly `n` guesses to `out`.
   virtual void generate(std::size_t n, std::vector<std::string>& out) = 0;
 
-  // Called by the harness for each *new* matched guess, with the index of
+  // Called by the session for each *new* matched guess, with the index of
   // that guess within the most recent generate() batch. Default: ignore.
   virtual void on_match(std::size_t index_in_batch,
                         const std::string& password) {
@@ -31,7 +31,7 @@ class GuessGenerator {
 
   // Whether this generator's future output depends on on_match() feedback.
   // Generators that override on_match() to mutate state MUST return true:
-  // the harness only pipelines generation ahead of matching — during which
+  // the session only pipelines generation ahead of matching — during which
   // on_match() is never invoked — for generators that return false.
   virtual bool uses_match_feedback() const { return false; }
 

@@ -32,9 +32,10 @@
 // deterministic, zero extra threads). run() spawns up to max_concurrent
 // driver threads that pull slices under the same fair policy; sessions
 // never run two slices concurrently, and all inner parallelism (sharded
-// matching, tracker folds, pipelined producers) lands on the one shared
-// pool, whose helping waits keep nested use deadlock-free. Scenarios can
-// be added, paused, resumed and removed mid-run from any thread.
+// matching, pipelined sessions' tracker drains) lands on the one shared
+// pool, whose helping waits keep nested use deadlock-free; each pipelined
+// session's producer is its own thread. Scenarios can be added, paused,
+// resumed and removed mid-run from any thread.
 //
 // Fleet-wide unique counts: aggregate() quiesces the fleet for a moment
 // and merges every session's distinct-guess state into one
@@ -88,7 +89,8 @@ namespace passflow::guessing {
 struct SchedulerConfig {
   // Shared worker pool handed to every registered session (their
   // SessionConfig::pool is overridden): the fleet's global budget. May be
-  // null — sessions then run their serial matching/tracking paths.
+  // null — sessions then match and fold their chunks on the driving
+  // thread (pipelined ones still generate on their producer thread).
   util::ThreadPool* pool = nullptr;
 
   // Chunks per scheduling slice. Smaller slices interleave more fairly,

@@ -39,14 +39,24 @@ AttackSession::AttackSession(GuessGenerator& generator, MatcherRef matcher,
   if (config_.chunk_size == 0) {
     throw std::invalid_argument("SessionConfig::chunk_size must be > 0");
   }
+  for (const std::size_t cp : config_.checkpoints) {
+    if (cp > config_.budget) {
+      // A chunk is sized up to the next checkpoint, so a checkpoint past
+      // the budget would make the run overshoot it.
+      throw std::invalid_argument("SessionConfig::checkpoints " +
+                                  std::to_string(cp) + " exceeds the budget " +
+                                  std::to_string(config_.budget));
+    }
+  }
   // Feedback-driven generators (Algorithm 1) must see each chunk's matches
   // before producing the next chunk, so generation cannot run ahead.
   pipelined_ =
       config_.pipeline_depth > 0 && !generator_->uses_match_feedback();
+  fold_on_pool_ = pipelined_ && config_.pool != nullptr &&
+                  config_.unique_tracking != UniqueTracking::kOff;
   tracker_ = make_unique_tracker(config_.unique_tracking,
                                  config_.unique_shards,
                                  config_.sketch_precision_bits);
-  tracker_stage_ = pipelined_ && config_.unique_tracking != UniqueTracking::kOff;
   // name() is not covered by the uses_match_feedback() contract, so it is
   // captured before any background generate() could race with it.
   generator_name_ = config_.log_progress ? generator_->name() : "";
@@ -107,17 +117,19 @@ bool AttackSession::step() {
     timer_.reset();
     timer_started_ = true;
   }
-  if (pipelined_) {
-    if (!pipeline_running_) start_pipeline();
-    pipelined_step();
-  } else {
-    serial_step();
-  }
-  if (finished() && pipeline_running_) {
-    // Natural end of the run: join the stage threads and sync the tracker
-    // so result() reports the exact final unique count.
-    pause_pipeline();
-  }
+  if (pipelined_ && !pipeline_running_) start_pipeline();
+  // An error can abort a step between consuming its chunk and emitting its
+  // checkpoint. Emit anything due *before* the next chunk, so the retried
+  // checkpoint still reads the tracker at its own boundary.
+  emit_due_checkpoints();
+  std::shared_ptr<Chunk> chunk = take_chunk();
+  consume_chunk(*chunk);
+  ++next_chunk_;
+  fold(std::move(chunk));
+  emit_due_checkpoints();
+  // Natural end of the run: join the producer and wait out the drain, so
+  // result() reports the exact final unique count.
+  if (finished()) pause_pipeline();
   refresh_stats();
   return true;
 }
@@ -131,156 +143,62 @@ const SessionStats& AttackSession::run_until(std::size_t guess_target) {
 
 const SessionStats& AttackSession::run() { return run_until(config_.budget); }
 
-void AttackSession::serial_step() {
-  std::shared_ptr<Chunk> chunk;
-  {
-    // Serial mode has no stage threads, so the lock is uncontended; taken
-    // so pending_ accesses stay inside the annotated protocol.
-    MutexLock lock(mu_);
-    if (!pending_.empty()) {
-      chunk = std::move(pending_.front());
-      pending_.pop_front();
-    }
-  }
-  if (chunk != nullptr) {
-    // Chunk thawed from a saved pipelined run: the generator's stream is
-    // already past it, and feedback delivery was waived when it was
-    // produced.
-    if (!chunk->has_membership) {
-      matcher_->contains_batch(chunk->batch, config_.pool,
-                               chunk->membership);
-    }
-    tracker_->add_batch(chunk->batch, config_.pool);
-    consume_chunk(chunk->batch, chunk->membership,
-                  /*deliver_feedback=*/false);
-  } else {
-    batch_.clear();
-    generator_->generate(schedule_[next_chunk_], batch_);
-    matcher_->contains_batch(batch_, config_.pool, membership_);
-    tracker_->add_batch(batch_, config_.pool);
-    consume_chunk(batch_, membership_, /*deliver_feedback=*/true);
-  }
-  ++next_chunk_;
-  emit_due_checkpoints();
-}
-
-void AttackSession::pipelined_step() {
-  // A pipeline error can abort the previous step between consuming a chunk
-  // and emitting its checkpoint. Emit anything due *before* consuming the
-  // next chunk, so the retried checkpoint still reads the tracker at its
-  // own boundary (the restarted drain re-folds the backlog first).
-  emit_due_checkpoints();
+std::shared_ptr<AttackSession::Chunk> AttackSession::take_chunk() {
   std::shared_ptr<Chunk> chunk;
   {
     ReleasableMutexLock lock(mu_);
-    while (!pipeline_error_ && ready_.empty()) cv_.wait(lock);
+    while (pipeline_running_ && !pipeline_error_ && ready_.empty()) {
+      cv_.wait(lock);
+    }
     if (pipeline_error_) {
       lock.unlock();
-      pause_pipeline();  // joins threads and rethrows the stored error
-      return;            // not reached
+      pause_pipeline();  // joins the producer and rethrows the stored error
+      return nullptr;    // not reached
     }
-    chunk = std::move(ready_.front());
-    ready_.pop_front();
-    ++consumed_chunks_;  // frees a producer slot while we consume
+    if (!ready_.empty()) {
+      chunk = std::move(ready_.front());
+      ready_.pop_front();
+    }
   }
-  cv_.notify_all();
-
+  cv_.notify_all();  // frees a producer slot while we consume
+  if (chunk == nullptr) {
+    // No producer runs ahead: generate the chunk here.
+    chunk = std::make_shared<Chunk>();
+    chunk->batch.reserve(schedule_[next_chunk_]);
+    generator_->generate(schedule_[next_chunk_], chunk->batch);
+    chunk->deliver_feedback = true;
+  }
   if (!chunk->has_membership) {
-    // Thawed chunks are stored without membership; the matcher is
-    // identical, so recomputing preserves every metric.
-    matcher_->contains_batch(chunk->batch, config_.pool, chunk->membership);
+    // Generated here, thawed (stored without membership; the matcher is
+    // identical, so recomputing preserves every metric), or left unmatched
+    // by a failed producer match.
+    try {
+      matcher_->contains_batch(chunk->batch, config_.pool, chunk->membership);
+    } catch (...) {
+      // The generator's stream is already past this chunk: keep it at the
+      // head of the queue so the retried step matches it again.
+      MutexLock lock(mu_);
+      ready_.push_front(std::move(chunk));
+      throw;
+    }
     chunk->has_membership = true;
   }
-  consume_chunk(chunk->batch, chunk->membership, /*deliver_feedback=*/false);
-  ++next_chunk_;
-
-  if (tracker_stage_) {
-    schedule_tracker_chunk(std::move(chunk));
-  } else {
-    tracker_->add_batch(chunk->batch, config_.pool);
-  }
-  emit_due_checkpoints();
+  return chunk;
 }
 
-void AttackSession::schedule_tracker_chunk(std::shared_ptr<Chunk> chunk) {
-  bool spawn_drain = false;
-  {
-    MutexLock lock(mu_);
-    tracking_.push_back(std::move(chunk));
-    if (tracker_on_pool_ && !tracker_task_active_) {
-      tracker_task_active_ = true;
-      spawn_drain = true;
-    }
-  }
-  cv_.notify_all();
-  if (spawn_drain) {
-    // Serial executor on the shared pool: at most one drain task in
-    // flight, so chunks fold in consumption order without a dedicated
-    // thread. Overwriting the previous (completed) drain's future is safe
-    // — a new drain only spawns after the old one flipped
-    // tracker_task_active_ off in its final locked section, and only
-    // pause_pipeline's wait needs the latest one.
-    tracker_future_ = config_.pool->submit([this] { tracker_drain(); });
-  }
-}
-
-void AttackSession::tracker_drain() {
-  for (;;) {
-    std::shared_ptr<Chunk> chunk;
-    {
-      MutexLock lock(mu_);
-      if (tracking_.empty() || pipeline_error_) {
-        // Final touch of session state: after this unlock the only thing
-        // left is returning, which readies the future pause_pipeline
-        // waits on. No cv notify here — nothing waits on idleness.
-        tracker_task_active_ = false;
-        return;
-      }
-      chunk = std::move(tracking_.front());
-      tracking_.pop_front();
-    }
-    try {
-      tracker_->add_batch(chunk->batch, config_.pool);
-    } catch (...) {
-      // Notify while still holding the lock: once it is released a
-      // successor drain can be spawned and pause_pipeline can wait on
-      // *that* future, so nothing may touch session state afterwards —
-      // including this cv. (Waking a consumer parked on a checkpoint
-      // sync is why the notify exists at all.)
-      MutexLock lock(mu_);
-      // Requeue at the front: the chunk was consumed, so its guesses are
-      // owed to the tracker — a restarted pipeline re-folds it (folds are
-      // set unions, so order does not matter) instead of losing it.
-      tracking_.push_front(std::move(chunk));
-      pipeline_error_ = std::current_exception();
-      tracker_task_active_ = false;
-      cv_.notify_all();
-      return;
-    }
-    {
-      MutexLock lock(mu_);
-      ++tracked_chunks_;
-      published_unique_ = tracker_->count();
-    }
-    cv_.notify_all();
-  }
-}
-
-void AttackSession::consume_chunk(const std::vector<std::string>& batch,
-                                  const std::vector<char>& membership,
-                                  bool deliver_feedback) {
+void AttackSession::consume_chunk(const Chunk& chunk) {
   // A "match" is counted once per distinct test-set password (re-guessing
   // an already matched password does not count again), mirroring |P| in
   // Algorithm 1.
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const std::string& guess = batch[i];
-    if (membership[i] != 0) {
+  for (std::size_t i = 0; i < chunk.batch.size(); ++i) {
+    const std::string& guess = chunk.batch[i];
+    if (chunk.membership[i] != 0) {
       if (matched_set_.insert(guess).second) {
         result_.matched_passwords.push_back(guess);
-        // In pipelined mode the generator may be producing a later chunk
-        // on the producer thread right now; it declared feedback unused,
-        // so the callback is skipped rather than raced.
-        if (deliver_feedback) generator_->on_match(i, guess);
+        // Chunks from the producer (or a thawed stream) skip the callback:
+        // the generator declared feedback unused, and may be producing a
+        // later chunk right now.
+        if (chunk.deliver_feedback) generator_->on_match(i, guess);
       }
     } else if (result_.sample_non_matched.size() <
                    config_.non_matched_samples &&
@@ -288,7 +206,73 @@ void AttackSession::consume_chunk(const std::vector<std::string>& batch,
       result_.sample_non_matched.push_back(guess);
     }
   }
-  produced_ += batch.size();
+  produced_ += chunk.batch.size();
+}
+
+void AttackSession::fold(std::shared_ptr<Chunk> chunk) {
+  bool spawn_drain = false;
+  {
+    MutexLock lock(mu_);
+    tracking_.push_back(std::move(chunk));
+    spawn_drain = fold_on_pool_ && !drain_active_;
+    if (spawn_drain) drain_active_ = true;
+  }
+  if (spawn_drain) {
+    // Overwriting the previous drain's future is safe: a new drain only
+    // starts after the old one flipped drain_active_ off in its final
+    // locked section, and only pause_pipeline's wait needs the latest one.
+    tracker_future_ = config_.pool->submit([this] { tracker_drain(); });
+  } else if (!fold_on_pool_) {
+    sync_tracker();  // drains inline, rethrowing if the fold failed
+  }
+}
+
+bool AttackSession::tracker_drain() {
+  for (;;) {
+    std::shared_ptr<Chunk> chunk;
+    {
+      MutexLock lock(mu_);
+      if (tracking_.empty()) {
+        // Final touch of session state, notified under the lock: once it
+        // is released a successor drain can start and pause_pipeline can
+        // wait on *that* future, so nothing may touch the session after.
+        drain_active_ = false;
+        cv_.notify_all();
+        return true;
+      }
+      chunk = std::move(tracking_.front());
+      tracking_.pop_front();
+    }
+    try {
+      tracker_->add_batch(chunk->batch, config_.pool);
+    } catch (...) {
+      MutexLock lock(mu_);
+      // The chunk was consumed, so its guesses are still owed to the
+      // tracker: requeue it for the next drain instead of losing it.
+      tracking_.push_front(std::move(chunk));
+      pipeline_error_ = std::current_exception();
+      drain_active_ = false;
+      cv_.notify_all();
+      return false;
+    }
+    MutexLock lock(mu_);
+    published_unique_ = tracker_->count();
+  }
+}
+
+void AttackSession::sync_tracker() {
+  bool failed = false;
+  bool drain_here = false;
+  {
+    ReleasableMutexLock lock(mu_);
+    while (!pipeline_error_ && drain_active_) cv_.wait(lock);
+    failed = pipeline_error_ != nullptr;
+    drain_here = !failed && !tracking_.empty();
+    if (drain_here) drain_active_ = true;
+  }
+  if (drain_here) failed = !tracker_drain();
+  if (failed) pause_pipeline();  // joins the stages, rethrows the error
+  last_synced_unique_ = tracker_->count();
 }
 
 Checkpoint AttackSession::make_checkpoint(std::size_t guesses,
@@ -308,8 +292,10 @@ Checkpoint AttackSession::make_checkpoint(std::size_t guesses,
 void AttackSession::emit_due_checkpoints() {
   while (checkpoint_index_ < config_.checkpoints.size() &&
          produced_ >= config_.checkpoints[checkpoint_index_]) {
+    // Checkpoints report the unique count at an exact chunk boundary.
+    sync_tracker();
     const Checkpoint cp = make_checkpoint(
-        config_.checkpoints[checkpoint_index_], synced_unique_count());
+        config_.checkpoints[checkpoint_index_], last_synced_unique_);
     result_.checkpoints.push_back(cp);
     ++checkpoint_index_;
     if (config_.log_progress) {
@@ -320,32 +306,12 @@ void AttackSession::emit_due_checkpoints() {
   }
 }
 
-std::size_t AttackSession::synced_unique_count() {
-  if (pipeline_running_ && tracker_stage_) {
-    // Checkpoints report the unique count at an exact chunk boundary, so
-    // the consumer parks until the tracker stage has folded every chunk
-    // consumed so far (it can never be ahead — it is fed by the consumer).
-    ReleasableMutexLock lock(mu_);
-    while (!pipeline_error_ &&
-           !(tracking_.empty() && tracked_chunks_ == consumed_chunks_)) {
-      cv_.wait(lock);
-    }
-    if (pipeline_error_) {
-      lock.unlock();
-      pause_pipeline();
-      return 0;  // not reached
-    }
-  }
-  last_synced_unique_ = tracker_->count();
-  return last_synced_unique_;
-}
-
 void AttackSession::refresh_stats() {
   stats_.produced = produced_;
   stats_.matched = matched_set_.size();
-  if (pipeline_running_ && tracker_stage_) {
+  if (fold_on_pool_ && pipeline_running_) {
     MutexLock lock(mu_);
-    stats_.unique = std::max(published_unique_, last_synced_unique_);
+    stats_.unique = published_unique_;
   } else {
     stats_.unique = tracker_->count();
   }
@@ -363,8 +329,9 @@ RunResult AttackSession::result() const {
   check_usable();
   RunResult out = result_;
   if (out.checkpoints.empty() || out.checkpoints.back().guesses != produced_) {
-    const std::size_t unique =
-        pipeline_running_ ? last_synced_unique_ : tracker_->count();
+    const std::size_t unique = fold_on_pool_ && pipeline_running_
+                                   ? last_synced_unique_
+                                   : tracker_->count();
     out.checkpoints.push_back(make_checkpoint(produced_, unique));
   }
   out.seconds =
@@ -372,179 +339,93 @@ RunResult AttackSession::result() const {
   return out;
 }
 
+bool AttackSession::merge_unique_sketch(util::CardinalitySketch& out) {
+  check_usable();
+  // Same barrier as a checkpoint: the contribution must cover exactly the
+  // chunks consumed so far.
+  sync_tracker();
+  return tracker_->merge_into(out);
+}
+
 // ---- pipeline ------------------------------------------------------------
 
 void AttackSession::start_pipeline() {
-  bool spawn_drain = false;
+  std::size_t first_chunk = 0;
   {
-    // No stage threads exist yet, but the state below is mu_-guarded once
-    // they do — initialize it under the lock so the happens-before edge to
-    // the spawned threads is the same one the protocol relies on.
+    // No producer exists yet, but the state below is mu_-guarded once it
+    // does — initialize it under the lock so the happens-before edge to the
+    // spawned thread is the same one the protocol relies on.
     MutexLock lock(mu_);
     producer_stop_ = false;
-    tracker_stop_ = false;
-    pipeline_error_ = nullptr;
-    consumed_chunks_ = next_chunk_;
-    // A pipeline torn down by an error (pause_pipeline after a throwing
-    // tracker fold) can leave consumed-but-unfolded chunks in `tracking_`.
-    // The restarted tracker stage will fold them and bump tracked_chunks_
-    // once each, so the counter must start short by exactly that backlog —
-    // seeding it at next_chunk_ would leave tracked_chunks_ permanently
-    // ahead of consumed_chunks_ and wedge every checkpoint sync barrier.
-    tracked_chunks_ = next_chunk_ - tracking_.size();
-    generated_chunks_ = next_chunk_ + pending_.size();
-    // Thawed chunks re-enter at the head of the ready queue; the producer
-    // resumes generating after them (the generator's stream is already
-    // positioned past them).
-    ready_ = std::move(pending_);
-    pending_.clear();
-    published_unique_ = last_synced_unique_;
-    tracker_on_pool_ = tracker_stage_ && config_.pool != nullptr;
-    // Re-drain the error backlog now: if the run is already at its last
-    // chunk, no schedule_tracker_chunk() will ever come along to spawn the
-    // drain, and the sync barrier would wait on `tracking_` forever.
-    tracker_task_active_ = tracker_on_pool_ && !tracking_.empty();
-    spawn_drain = tracker_task_active_;
-    pipeline_running_ = true;
+    // Queued chunks are consumed first; the producer resumes generating
+    // after them (the generator's stream is already positioned past them).
+    first_chunk = next_chunk_ + ready_.size();
+    published_unique_ = tracker_->count();
   }
-  producer_thread_ = std::thread(&AttackSession::producer_loop, this);
-  if (tracker_stage_ && !tracker_on_pool_) {
-    tracker_thread_ = std::thread(&AttackSession::tracker_loop, this);
-  } else if (spawn_drain) {
-    tracker_future_ = config_.pool->submit([this] { tracker_drain(); });
-  }
+  pipeline_running_ = true;
+  producer_thread_ =
+      std::thread(&AttackSession::producer_loop, this, first_chunk);
 }
 
 void AttackSession::pause_pipeline() {
-  if (!pipeline_running_) return;
-  {
-    MutexLock lock(mu_);
-    producer_stop_ = true;
-  }
-  cv_.notify_all();
-  producer_thread_.join();
-  if (tracker_stage_) {
-    if (tracker_on_pool_) {
-      // The drain task exits only once `tracking_` is empty (or on error);
-      // its future is the completion barrier (ready strictly after the
-      // task function has returned, so the task can never touch session
-      // state after this wait — which is what makes destruction safe).
-      if (tracker_future_.valid()) tracker_future_.wait();
-    } else {
-      {
-        MutexLock lock(mu_);
-        tracker_stop_ = true;
-      }
-      cv_.notify_all();
-      tracker_thread_.join();  // drains its queue before exiting
+  if (pipeline_running_) {
+    {
+      MutexLock lock(mu_);
+      producer_stop_ = true;
     }
+    cv_.notify_all();
+    producer_thread_.join();
+    // The drain task exits only once `tracking_` is empty (or on error);
+    // its future is ready strictly after the task function has returned,
+    // so the task can never touch session state after this wait — which is
+    // what makes destruction safe.
+    if (tracker_future_.valid()) tracker_future_.wait();
+    pipeline_running_ = false;
   }
-  // Every stage thread has now been joined (or its drain future waited
-  // out), so the lock below is uncontended — held so the drain stays
-  // inside the annotated protocol.
   std::exception_ptr error;
   {
     MutexLock lock(mu_);
-    // Chunks generated but not yet consumed survive as pending work: they
-    // are either consumed on the next step() or serialized by
-    // save_state(), so no generated guess is ever lost or repeated.
-    while (!ready_.empty()) {
-      pending_.push_back(std::move(ready_.front()));
-      ready_.pop_front();
-    }
-    error = pipeline_error_;
-    pipeline_error_ = nullptr;
+    error = std::exchange(pipeline_error_, nullptr);
   }
-  pipeline_running_ = false;
   if (error) std::rethrow_exception(error);
-  last_synced_unique_ = tracker_->count();
 }
 
-void AttackSession::producer_loop() {
+void AttackSession::producer_loop(std::size_t chunk_index) {
   try {
-    for (;;) {
-      std::size_t chunk_index;
+    for (; chunk_index < schedule_.size(); ++chunk_index) {
       {
         ReleasableMutexLock lock(mu_);
-        while (!producer_stop_ &&
-               generated_chunks_ >= consumed_chunks_ + config_.pipeline_depth) {
+        while (!producer_stop_ && ready_.size() >= config_.pipeline_depth) {
           cv_.wait(lock);
         }
         if (producer_stop_) return;
-        chunk_index = generated_chunks_;
       }
-      if (chunk_index >= schedule_.size()) return;
-
       auto chunk = std::make_shared<Chunk>();
       chunk->batch.reserve(schedule_[chunk_index]);
       generator_->generate(schedule_[chunk_index], chunk->batch);
-      matcher_->contains_batch(chunk->batch, config_.pool,
-                               chunk->membership);
-      chunk->has_membership = true;
-
+      std::exception_ptr match_error;
+      try {
+        matcher_->contains_batch(chunk->batch, config_.pool,
+                                 chunk->membership);
+        chunk->has_membership = true;
+      } catch (...) {
+        // The generator's stream is already past this chunk: queue it
+        // unmatched, so the retried step matches it like a thawed one.
+        match_error = std::current_exception();
+      }
       {
         MutexLock lock(mu_);
         ready_.push_back(std::move(chunk));
-        generated_chunks_ = chunk_index + 1;
+        if (match_error) pipeline_error_ = match_error;
       }
       cv_.notify_all();
+      if (match_error) return;
     }
   } catch (...) {
     MutexLock lock(mu_);
     pipeline_error_ = std::current_exception();
     cv_.notify_all();
   }
-}
-
-void AttackSession::tracker_loop() {
-  std::shared_ptr<Chunk> chunk;
-  try {
-    for (;;) {
-      {
-        ReleasableMutexLock lock(mu_);
-        while (!tracker_stop_ && tracking_.empty()) cv_.wait(lock);
-        if (tracking_.empty()) return;  // stop requested and fully drained
-        chunk = std::move(tracking_.front());
-        tracking_.pop_front();
-      }
-      tracker_->add_batch(chunk->batch, config_.pool);
-      chunk.reset();
-      {
-        MutexLock lock(mu_);
-        ++tracked_chunks_;
-        published_unique_ = tracker_->count();
-      }
-      cv_.notify_all();
-    }
-  } catch (...) {
-    MutexLock lock(mu_);
-    // Same requeue as the pool drain: the consumed chunk's guesses are
-    // still owed to the tracker; a restarted pipeline re-folds it.
-    if (chunk) tracking_.push_front(std::move(chunk));
-    pipeline_error_ = std::current_exception();
-    cv_.notify_all();
-  }
-}
-
-bool AttackSession::merge_unique_sketch(util::CardinalitySketch& out) {
-  check_usable();
-  if (pipeline_running_ && tracker_stage_) {
-    // Same barrier as a checkpoint: the contribution must cover exactly
-    // the chunks consumed so far, so park until the tracker stage has
-    // folded all of them (it is fed by the consumer, so it can never be
-    // ahead).
-    ReleasableMutexLock lock(mu_);
-    while (!pipeline_error_ &&
-           !(tracking_.empty() && tracked_chunks_ == consumed_chunks_)) {
-      cv_.wait(lock);
-    }
-    if (pipeline_error_) {
-      lock.unlock();
-      pause_pipeline();  // joins the stages and rethrows the stored error
-      return false;      // not reached
-    }
-  }
-  return tracker_->merge_into(out);
 }
 
 // ---- save / resume -------------------------------------------------------
@@ -558,6 +439,7 @@ void AttackSession::save_state(std::ostream& out) {
         generator_->name() + "' has none)");
   }
   pause_pipeline();
+  sync_tracker();  // the saved tracker must cover every consumed chunk
 
   out.write(kMagic, sizeof(kMagic) - 1);
   // Run-shape echo, validated on load: a resumed session must describe
@@ -596,8 +478,8 @@ void AttackSession::save_state(std::ostream& out) {
     // generator's stream state (below) is already positioned past them.
     // The pipeline was paused above, so the lock is uncontended.
     MutexLock lock(mu_);
-    io::write_u64(out, pending_.size());
-    for (const auto& chunk : pending_) io::write_string_vec(out, chunk->batch);
+    io::write_u64(out, ready_.size());
+    for (const auto& chunk : ready_) io::write_string_vec(out, chunk->batch);
   }
 
   generator_->save_state(out);
@@ -684,13 +566,13 @@ void AttackSession::load_state_impl(std::istream& in) {
   const std::uint64_t pending_count = io::read_u64(in);
   {
     // load_state runs before the first step(), so no pipeline exists; the
-    // lock keeps pending_ inside the annotated protocol.
+    // lock keeps ready_ inside the annotated protocol.
     MutexLock lock(mu_);
-    pending_.clear();
+    ready_.clear();
     for (std::uint64_t i = 0; i < pending_count; ++i) {
       auto chunk = std::make_shared<Chunk>();
       chunk->batch = io::read_string_vec(in);
-      pending_.push_back(std::move(chunk));
+      ready_.push_back(std::move(chunk));
     }
   }
 

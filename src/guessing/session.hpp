@@ -1,5 +1,4 @@
-// Streaming attack engine: the session-based replacement for the one-shot
-// run_guessing() loop.
+// Streaming attack engine.
 //
 // An AttackSession owns the bookkeeping of one guessing attack: it drives a
 // GuessGenerator against a Matcher in chunk-sized steps, tracks matches /
@@ -12,6 +11,7 @@
 //   SessionConfig config;
 //   config.budget = 100000000;
 //   config.pipeline_depth = 4;
+//   config.pool = &util::shared_pool();
 //   AttackSession session(sampler, matcher, config);
 //   while (session.step()) {
 //     if (want_progress) log(session.stats());
@@ -19,19 +19,26 @@
 //   }
 //   RunResult result = session.result();
 //
+// Every step() runs the same body: take the next chunk (chunks thawed or
+// left queued by a pause come first, then the producer thread's; with no
+// producer the chunk is generated and matched right there), apply its
+// match / sample bookkeeping in stream order on the calling thread, and
+// hand it to the tracker stage, a serial drain that folds consumed chunks
+// into the UniqueTracker in order.
+//
 // Pipelining: with pipeline_depth >= 1 and a generator that ignores match
 // feedback (uses_match_feedback() == false), a persistent producer thread
-// keeps up to `pipeline_depth` chunks in flight through a bounded queue —
-// generating each chunk and pre-matching it against the Matcher — while a
-// tracker stage (one ThreadPool::submit() task at a time when a pool is
-// configured, a dedicated thread otherwise) folds consumed chunks into the
-// UniqueTracker behind the consumer. Chunk sizes and generate() call order are exactly the serial
-// schedule, match/sample bookkeeping is applied in stream order on the
-// consuming thread, and set-union unique counting is order-independent, so
-// every reported metric is bitwise identical to a serial run at any depth.
-// Feedback-driven generators (Algorithm 1) must see each chunk's matches
-// before producing the next, so for them the session silently stays serial
-// and delivers on_match() exactly like the seed loop.
+// keeps up to `pipeline_depth` chunks generated and pre-matched ahead of
+// consumption through a bounded queue. If the session also has a pool, the
+// tracker drain runs there as at most one ThreadPool::submit() task at a
+// time, off the consuming thread; otherwise it runs inline after each
+// chunk. Chunk sizes and generate() call order are exactly the serial
+// schedule, bookkeeping is applied in stream order, and set-union unique
+// counting is order-independent, so every reported metric is bitwise
+// identical to a serial run at any depth. Feedback-driven generators
+// (Algorithm 1) must see each chunk's matches before producing the next,
+// so for them the session generates inline and delivers on_match() exactly
+// like the seed loop.
 #pragma once
 
 #include <cstddef>
@@ -58,7 +65,9 @@ namespace passflow::guessing {
 
 struct SessionConfig {
   std::size_t budget = 100000;           // total guesses to generate
-  std::vector<std::size_t> checkpoints;  // empty => powers of ten
+  // Guess counts to snapshot metrics at, each <= budget; empty => powers
+  // of ten.
+  std::vector<std::size_t> checkpoints;
   std::size_t chunk_size = 16384;        // guesses per generate() call
   std::size_t non_matched_samples = 40;  // reservoir for Table IV
 
@@ -68,13 +77,15 @@ struct SessionConfig {
   std::size_t unique_shards = 1;        // exact-tracker shards
   unsigned sketch_precision_bits = 14;  // sketch resolution (16 KiB at 14)
 
-  // Chunks allowed in flight ahead of consumption. 0 = fully serial
-  // inside step(); 1 reproduces the old one-chunk-ahead overlap; deeper
-  // queues smooth stage imbalance (bursty generators, tracker growth
-  // spikes). Only engages for generators that ignore match feedback.
+  // Chunks a producer thread keeps generated ahead of consumption. 0 =
+  // each step() generates its own chunk; 1 overlaps generation with one
+  // chunk of matching; deeper queues smooth stage imbalance (bursty
+  // generators, tracker growth spikes). Only engages for generators that
+  // ignore match feedback.
   std::size_t pipeline_depth = 0;
 
-  // Non-owning worker pool for bulk matching and sharded tracker inserts.
+  // Non-owning worker pool for bulk matching and sharded tracker inserts;
+  // with a producer thread, the tracker drain runs on it too.
   util::ThreadPool* pool = nullptr;
 
   bool log_progress = false;
@@ -118,9 +129,11 @@ class AttackSession {
   AttackSession(const AttackSession&) = delete;
   AttackSession& operator=(const AttackSession&) = delete;
 
-  // Processes the next chunk of the schedule (generate -> match -> record,
-  // or consume the next pipelined chunk). Returns true while the budget is
-  // not exhausted; returns false (doing nothing) once it is.
+  // Processes the next chunk of the schedule: take it (generating and
+  // matching it here when no producer runs ahead), record it, fold it.
+  // Returns true while the budget is not exhausted; returns false (doing
+  // nothing) once it is. A step that throws leaves the session retryable:
+  // a chunk whose match or fold failed is requeued, never dropped.
   bool step();
 
   // Steps until at least `guess_target` total guesses have been produced
@@ -136,9 +149,10 @@ class AttackSession {
 
   // Metrics in the seed RunResult shape; callable mid-run (appends the
   // implicit final checkpoint for the guesses produced so far, exactly
-  // like the seed loop did at the end of a run). In pipelined mode the
-  // unique count of a mid-run snapshot is the tracker's value as of the
-  // last checkpoint sync; at completion it is exact.
+  // like the seed loop did at the end of a run). While the tracker drain
+  // runs on the pool, the unique count of a mid-run snapshot is the
+  // tracker's value as of the last checkpoint sync; otherwise, and at
+  // completion, it is exact.
   RunResult result() const;
 
   // Freezes the session: pauses the pipeline (chunks already generated but
@@ -172,36 +186,45 @@ class AttackSession {
     std::vector<std::string> batch;
     std::vector<char> membership;
     bool has_membership = false;
+    // Generated on the consuming thread, so on_match() indices point into
+    // the generator's most recent batch.
+    bool deliver_feedback = false;
   };
 
   void plan_schedule();
   void load_state_impl(std::istream& in);
   // Throws if a failed load_state left the session half-thawed.
   void check_usable() const;
-  void serial_step();
-  void pipelined_step();
+  // The next chunk of the schedule, matched. Runs on the consuming thread.
+  std::shared_ptr<Chunk> take_chunk();
   // Stream-order bookkeeping for one chunk; always runs on the consuming
-  // thread. `deliver_feedback` routes on_match() (serial mode only).
-  void consume_chunk(const std::vector<std::string>& batch,
-                     const std::vector<char>& membership,
-                     bool deliver_feedback);
+  // thread.
+  void consume_chunk(const Chunk& chunk);
+  // Queues a consumed chunk for the tracker drain: spawns the pool drain
+  // if none is in flight, or with no pool drain, folds it right here.
+  void fold(std::shared_ptr<Chunk> chunk);
+  // Folds queued chunks until none is left (true) or a fold throws (false,
+  // with the error stored in pipeline_error_).
+  bool tracker_drain();
+  // Barrier: returns once every consumed chunk is folded (running the
+  // drain here unless a pool drain is in flight), rethrowing stage errors.
+  void sync_tracker();
   void emit_due_checkpoints();
-  std::size_t synced_unique_count();
   void refresh_stats();
   Checkpoint make_checkpoint(std::size_t guesses, std::size_t unique) const;
 
   void start_pipeline();
+  // Joins the producer and waits out the pool drain, so only the calling
+  // thread touches the session; then rethrows any error a stage stored.
+  // Chunks generated ahead of consumption stay queued in ready_.
   void pause_pipeline();
-  void producer_loop();
-  void tracker_loop();
-  void tracker_drain();
-  void schedule_tracker_chunk(std::shared_ptr<Chunk> chunk);
+  void producer_loop(std::size_t chunk_index);
 
   GuessGenerator* generator_;
   MatcherRef matcher_;
   SessionConfig config_;
   bool pipelined_ = false;      // config requests it and the generator allows it
-  bool tracker_stage_ = false;  // unique tracking runs on its own thread
+  bool fold_on_pool_ = false;   // tracker drain runs as a pool task
 
   std::vector<std::size_t> schedule_;  // chunk sizes; fixed up front
   std::size_t next_chunk_ = 0;         // consumer cursor into schedule_
@@ -209,9 +232,8 @@ class AttackSession {
   std::size_t checkpoint_index_ = 0;
 
   std::unique_ptr<UniqueTracker> tracker_;
-  // Consumer-thread-only: refreshed at checkpoint syncs and pipeline
-  // teardown, both of which run on the consuming thread after the stage
-  // threads have drained — mu_ never guards it.
+  // Consumer-thread-only: refreshed at checkpoint syncs, which run on the
+  // consuming thread after the drain has caught up — mu_ never guards it.
   std::size_t last_synced_unique_ = 0;
   std::unordered_set<std::string> matched_set_;
   std::unordered_set<std::string> non_matched_seen_;
@@ -224,49 +246,30 @@ class AttackSession {
   double seconds_accum_ = 0.0;  // run time carried across save/resume
   bool load_failed_ = false;    // poisoned by a throwing load_state
 
-  // Serial-mode scratch.
-  std::vector<std::string> batch_;
-  std::vector<char> membership_;
-
-  // ---- pipeline state (guarded by mu_ unless noted) ----
+  // ---- stage state (guarded by mu_ unless noted) ----
   util::Mutex mu_;
   util::CondVar cv_;
-  // producer -> consumer
+  // Chunks ready for consumption, in stream order: thawed or requeued ones
+  // at the head, then the producer's.
   std::deque<std::shared_ptr<Chunk>> ready_ PF_GUARDED_BY(mu_);
-  // consumer -> tracker
+  // Consumed chunks owed to the tracker, folded FIFO by the drain. An
+  // error requeues the failing chunk at the front, so the next drain
+  // re-folds it (folds are set unions, so a partial fold is harmless).
   std::deque<std::shared_ptr<Chunk>> tracking_ PF_GUARDED_BY(mu_);
-  // thawed / paused chunks
-  std::deque<std::shared_ptr<Chunk>> pending_ PF_GUARDED_BY(mu_);
-  // producer cursor into schedule_
-  std::size_t generated_chunks_ PF_GUARDED_BY(mu_) = 0;
-  // Checkpoint syncs barrier on `tracking_.empty() && tracked_chunks_ ==
-  // consumed_chunks_`. Both counters are re-seeded from next_chunk_ on
-  // every pipeline (re)start; an error teardown can leave consumed-but-
-  // unfolded chunks in `tracking_` (the erroring chunk is requeued, never
-  // dropped), so the restart seeds tracked_chunks_ short by that backlog
-  // and re-spawns the drain — otherwise the barrier could never close.
-  std::size_t consumed_chunks_ PF_GUARDED_BY(mu_) = 0;
-  std::size_t tracked_chunks_ PF_GUARDED_BY(mu_) = 0;
   std::size_t published_unique_ PF_GUARDED_BY(mu_) = 0;
   bool producer_stop_ PF_GUARDED_BY(mu_) = false;
-  bool tracker_stop_ PF_GUARDED_BY(mu_) = false;
+  // The drain is a serial executor: at most one runs at a time, inline or
+  // as a pool task, and whoever flips this on owns it until it flips off.
+  bool drain_active_ PF_GUARDED_BY(mu_) = false;
+  std::exception_ptr pipeline_error_ PF_GUARDED_BY(mu_);
   // Consumer-thread-only: flipped by start_pipeline/pause_pipeline, which
-  // only run on the consuming thread while no stage thread exists — a
+  // only run on the consuming thread while no producer exists — a
   // protocol mu_ cannot express, so it stays unannotated (see
   // annotated_sync.hpp usage rules).
   bool pipeline_running_ = false;
-  // With a pool configured the tracker stage runs as at most one in-flight
-  // submit() task draining `tracking_` FIFO (a serial executor on shared
-  // workers); without one it falls back to the dedicated tracker thread.
-  // Consumer-thread-only, set before any stage thread starts.
-  bool tracker_on_pool_ = false;
-  bool tracker_task_active_ PF_GUARDED_BY(mu_) = false;
-  std::exception_ptr pipeline_error_ PF_GUARDED_BY(mu_);
   std::thread producer_thread_;
-  std::thread tracker_thread_;
-  // Latest pool drain task. Consumer-thread-only: written while
-  // tracker_task_active_ hands off drain ownership (see
-  // schedule_tracker_chunk), read only by pause_pipeline.
+  // Latest pool drain task. Consumer-thread-only: written by fold() when it
+  // takes drain ownership, read only by pause_pipeline.
   std::future<void> tracker_future_;
 };
 

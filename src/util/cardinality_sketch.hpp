@@ -1,6 +1,6 @@
 // HyperLogLog cardinality sketch: memory-bounded distinct counting.
 //
-// Backs the guessing engine's `track_unique` in the 10^8–10^9 guess regime
+// Backs the guessing engine's unique tracking in the 10^8–10^9 guess regime
 // (Tables II/III scale), where the exact distinct-guess set would need tens
 // of gigabytes. 2^p one-byte registers give a standard error of roughly
 // 1.04/sqrt(2^p): the default p=14 is 16 KiB of state for ~0.8% error.

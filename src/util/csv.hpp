@@ -1,8 +1,8 @@
 // CSV and fixed-width table writers.
 //
 // Every bench binary emits (a) a human-readable table mirroring the paper's
-// layout and (b) a machine-readable CSV next to it, so EXPERIMENTS.md rows
-// can be regenerated by scripts.
+// layout and (b) a machine-readable CSV next to it, so scripts can compare
+// runs without parsing the tables.
 #pragma once
 
 #include <cstddef>

@@ -184,7 +184,7 @@ TEST(Protocol, StrengthReplyRoundTripsEstimatesAndInfinities) {
   StrengthReplyMsg refusal;
   refusal.request_id = 78;
   refusal.status = StrengthStatus::kOverloaded;
-  const auto& refused =
+  const StrengthReplyMsg refused =
       std::get<StrengthReplyMsg>(decode(encode(refusal)));
   EXPECT_EQ(refused.status, StrengthStatus::kOverloaded);
   EXPECT_TRUE(refused.estimates.empty());

@@ -1,13 +1,19 @@
-#include "guessing/harness.hpp"
-
+// Contract of the guessing loop that AttackSession runs (generate, match,
+// feed matches back, count), pinned by hand-computed values on a scripted
+// generator: the exact budget, matched % over the test-set size, the
+// on_match index into the last batch, distinct non-matched samples, and
+// chunks cut at checkpoints.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
+
+#include "guessing/session.hpp"
 
 namespace passflow::guessing {
 namespace {
 
-// Scripted generator: replays a fixed sequence and records feedback.
+// Replays a fixed script, recording generate() sizes and on_match() indices.
 class ScriptedGenerator : public GuessGenerator {
  public:
   explicit ScriptedGenerator(std::vector<std::string> script)
@@ -15,156 +21,89 @@ class ScriptedGenerator : public GuessGenerator {
 
   void generate(std::size_t n, std::vector<std::string>& out) override {
     for (std::size_t i = 0; i < n; ++i) {
-      out.push_back(script_[cursor_ % script_.size()]);
-      ++cursor_;
+      out.push_back(script_[cursor_++ % script_.size()]);
     }
-    ++generate_calls_;
+    call_sizes.push_back(n);
   }
-
-  void on_match(std::size_t index_in_batch,
-                const std::string& password) override {
-    match_indices_.push_back(index_in_batch);
-    match_passwords_.push_back(password);
+  void on_match(std::size_t index_in_batch, const std::string&) override {
+    match_indices.push_back(index_in_batch);
   }
-
   std::string name() const override { return "scripted"; }
 
-  std::size_t cursor_ = 0;
-  std::size_t generate_calls_ = 0;
-  std::vector<std::size_t> match_indices_;
-  std::vector<std::string> match_passwords_;
+  std::vector<std::size_t> call_sizes;
+  std::vector<std::size_t> match_indices;
 
  private:
   std::vector<std::string> script_;
+  std::size_t cursor_ = 0;
 };
+
+RunResult run_scripted(ScriptedGenerator& gen, const Matcher& matcher,
+                       const SessionConfig& config) {
+  AttackSession session(gen, matcher, config);
+  session.run();
+  return session.result();
+}
 
 TEST(Harness, GeneratesExactBudget) {
   ScriptedGenerator gen({"a", "b", "c"});
   HashSetMatcher matcher({"nothing"});
-  HarnessConfig config;
+  SessionConfig config;
   config.budget = 95;
   config.chunk_size = 10;
-  const auto result = run_guessing(gen, matcher, config);
-  EXPECT_EQ(gen.cursor_, 95u);
+  const RunResult result = run_scripted(gen, matcher, config);
+  std::size_t requested = 0;
+  for (const std::size_t n : gen.call_sizes) requested += n;
+  EXPECT_EQ(requested, 95u);
   EXPECT_EQ(result.final().guesses, 95u);
-}
-
-TEST(Harness, CountsEachMatchedPasswordOnce) {
-  // "hit" appears many times in the stream but counts once.
-  ScriptedGenerator gen({"hit", "miss", "hit", "miss2"});
-  HashSetMatcher matcher({"hit"});
-  HarnessConfig config;
-  config.budget = 100;
-  const auto result = run_guessing(gen, matcher, config);
-  EXPECT_EQ(result.final().matched, 1u);
-  EXPECT_EQ(gen.match_passwords_.size(), 1u);
-  EXPECT_EQ(gen.match_passwords_[0], "hit");
 }
 
 TEST(Harness, MatchedPercentUsesTestSetSize) {
   ScriptedGenerator gen({"a", "b", "x", "y"});
   HashSetMatcher matcher({"a", "b", "c", "d"});  // 4 entries, 2 matched
-  HarnessConfig config;
+  SessionConfig config;
   config.budget = 40;
-  const auto result = run_guessing(gen, matcher, config);
+  const RunResult result = run_scripted(gen, matcher, config);
   EXPECT_EQ(result.final().matched, 2u);
   EXPECT_DOUBLE_EQ(result.final().matched_percent, 50.0);
 }
 
-TEST(Harness, UniqueCountsDistinctGuesses) {
-  ScriptedGenerator gen({"a", "b", "a", "a"});
-  HashSetMatcher matcher({});
-  HarnessConfig config;
-  config.budget = 100;
-  const auto result = run_guessing(gen, matcher, config);
-  EXPECT_EQ(result.final().unique, 2u);
-}
-
-TEST(Harness, CheckpointsAreMonotone) {
-  ScriptedGenerator gen({"a", "b", "c", "d", "e", "hit"});
-  HashSetMatcher matcher({"hit"});
-  HarnessConfig config;
-  config.budget = 10000;
-  const auto result = run_guessing(gen, matcher, config);
-  ASSERT_GE(result.checkpoints.size(), 3u);
-  for (std::size_t i = 1; i < result.checkpoints.size(); ++i) {
-    EXPECT_GE(result.checkpoints[i].guesses,
-              result.checkpoints[i - 1].guesses);
-    EXPECT_GE(result.checkpoints[i].matched,
-              result.checkpoints[i - 1].matched);
-    EXPECT_GE(result.checkpoints[i].unique,
-              result.checkpoints[i - 1].unique);
-  }
-}
-
-TEST(Harness, DefaultCheckpointsArePowersOfTen) {
-  ScriptedGenerator gen({"a"});
-  HashSetMatcher matcher({});
-  HarnessConfig config;
-  config.budget = 1000;
-  const auto result = run_guessing(gen, matcher, config);
-  std::vector<std::size_t> guesses;
-  for (const auto& cp : result.checkpoints) guesses.push_back(cp.guesses);
-  EXPECT_EQ(guesses, (std::vector<std::size_t>{10, 100, 1000}));
-}
-
-TEST(Harness, CustomCheckpointsRespected) {
-  ScriptedGenerator gen({"a"});
-  HashSetMatcher matcher({});
-  HarnessConfig config;
-  config.budget = 50;
-  config.checkpoints = {25, 50};
-  const auto result = run_guessing(gen, matcher, config);
-  ASSERT_EQ(result.checkpoints.size(), 2u);
-  EXPECT_EQ(result.checkpoints[0].guesses, 25u);
-  EXPECT_EQ(result.checkpoints[1].guesses, 50u);
-}
-
 TEST(Harness, OnMatchIndexPointsIntoLastBatch) {
-  // Script: chunk_size=4 so batch = {m0,m1,m2,hit}; index of "hit" is 3.
+  // chunk_size=4 so batch = {m0,m1,m2,hit}; index of "hit" is 3.
   ScriptedGenerator gen({"m0", "m1", "m2", "hit"});
   HashSetMatcher matcher({"hit"});
-  HarnessConfig config;
+  SessionConfig config;
   config.budget = 4;
   config.chunk_size = 4;
-  run_guessing(gen, matcher, config);
-  ASSERT_EQ(gen.match_indices_.size(), 1u);
-  EXPECT_EQ(gen.match_indices_[0], 3u);
+  run_scripted(gen, matcher, config);
+  ASSERT_EQ(gen.match_indices.size(), 1u);
+  EXPECT_EQ(gen.match_indices[0], 3u);
 }
 
 TEST(Harness, NonMatchedSamplesAreDistinctNonMatches) {
   ScriptedGenerator gen({"hit", "n1", "n2", "n1"});
   HashSetMatcher matcher({"hit"});
-  HarnessConfig config;
+  SessionConfig config;
   config.budget = 100;
   config.non_matched_samples = 10;
-  const auto result = run_guessing(gen, matcher, config);
+  const RunResult result = run_scripted(gen, matcher, config);
   EXPECT_EQ(result.sample_non_matched.size(), 2u);
   for (const auto& s : result.sample_non_matched) {
     EXPECT_FALSE(matcher.contains(s));
   }
 }
 
-TEST(Harness, TrackUniqueOffReportsZeroUnique) {
-  ScriptedGenerator gen({"a", "b"});
-  HashSetMatcher matcher({});
-  HarnessConfig config;
-  config.budget = 20;
-  config.track_unique = false;
-  const auto result = run_guessing(gen, matcher, config);
-  EXPECT_EQ(result.final().unique, 0u);
-}
-
 TEST(Harness, ChunksNeverCrossCheckpoints) {
-  // With chunk_size larger than the checkpoint spacing, the harness must
+  // With chunk_size larger than the checkpoint spacing, the session must
   // shrink chunks so metrics at checkpoints are exact.
   ScriptedGenerator gen({"a"});
   HashSetMatcher matcher({});
-  HarnessConfig config;
+  SessionConfig config;
   config.budget = 100;
   config.chunk_size = 64;
   config.checkpoints = {10, 100};
-  const auto result = run_guessing(gen, matcher, config);
+  const RunResult result = run_scripted(gen, matcher, config);
+  EXPECT_EQ(gen.call_sizes, (std::vector<std::size_t>{10, 64, 26}));
   EXPECT_EQ(result.checkpoints[0].guesses, 10u);
 }
 

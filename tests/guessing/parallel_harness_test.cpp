@@ -1,16 +1,17 @@
-// Determinism of the parallel guessing path: pooled samplers, pooled
-// matching, and pipelined generation must reproduce the single-threaded
-// run's metrics exactly (same checkpoints, same matched passwords, in the
-// same order). Runs under the `thread_safety` CTest label.
-#include "guessing/harness.hpp"
-
+// Determinism of the parallel guessing path outside the session's own
+// pipeline: pooled samplers must emit the serial stream exactly, a pooled
+// DynamicSampler session must reproduce the serial run's metrics, and a
+// pipelined session must keep custom checkpoints exact. Runs under the
+// `thread_safety` CTest label (and its TSan job).
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
 #include "guessing/dynamic_sampler.hpp"
+#include "guessing/session.hpp"
 #include "guessing/static_sampler.hpp"
+#include "reference_harness.hpp"
 #include "test_support.hpp"
 #include "util/thread_pool.hpp"
 
@@ -18,34 +19,24 @@ namespace passflow::guessing {
 namespace {
 
 using passflow::testing::tiny_trained_flow;
+using testing::MixingGenerator;
+using testing::ReferenceConfig;
+using testing::reference_run;
 
 // A target set the samplers can actually hit: every 5th guess of a warmup
-// run over the same model, deduplicated by Matcher.
+// run over the same model.
 std::vector<std::string> reachable_targets() {
   const auto& env = tiny_trained_flow();
-  StaticSamplerConfig config;
-  config.seed = 404;
-  StaticSampler sampler(env.model, env.encoder, config);
-  std::vector<std::string> warmup;
-  sampler.generate(5000, warmup);
+  StaticSamplerConfig warmup_config;
+  warmup_config.seed = 404;
+  StaticSampler warmup(env.model, env.encoder, warmup_config);
+  std::vector<std::string> guesses;
+  warmup.generate(5000, guesses);
   std::vector<std::string> targets;
-  for (std::size_t i = 0; i < warmup.size(); i += 5) {
-    targets.push_back(warmup[i]);
+  for (std::size_t i = 0; i < guesses.size(); i += 5) {
+    targets.push_back(guesses[i]);
   }
   return targets;
-}
-
-void expect_same_run(const RunResult& a, const RunResult& b) {
-  ASSERT_EQ(a.checkpoints.size(), b.checkpoints.size());
-  for (std::size_t i = 0; i < a.checkpoints.size(); ++i) {
-    EXPECT_EQ(a.checkpoints[i].guesses, b.checkpoints[i].guesses);
-    EXPECT_EQ(a.checkpoints[i].unique, b.checkpoints[i].unique);
-    EXPECT_EQ(a.checkpoints[i].matched, b.checkpoints[i].matched);
-    EXPECT_DOUBLE_EQ(a.checkpoints[i].matched_percent,
-                     b.checkpoints[i].matched_percent);
-  }
-  EXPECT_EQ(a.matched_passwords, b.matched_passwords);
-  EXPECT_EQ(a.sample_non_matched, b.sample_non_matched);
 }
 
 TEST(ParallelHarness, PooledStaticSamplerOutputIsIdentical) {
@@ -91,122 +82,68 @@ TEST(ParallelHarness, PooledDynamicSamplerOutputIsIdentical) {
   EXPECT_EQ(make_run(nullptr), make_run(&pool));
 }
 
-TEST(ParallelHarness, StaticRunMatchesSerialBitwise) {
-  const auto& env = tiny_trained_flow();
-  const HashSetMatcher matcher(reachable_targets());
-  util::ThreadPool pool(4);
-
-  auto run = [&](bool parallel) {
-    StaticSamplerConfig config;
-    config.seed = 55;
-    config.batch_size = 1024;
-    if (parallel) config.pool = &pool;
-    StaticSampler sampler(env.model, env.encoder, config);
-    HarnessConfig harness;
-    harness.budget = 20000;
-    harness.chunk_size = 2048;
-    if (parallel) {
-      harness.pool = &pool;
-      harness.overlap_generation = true;
-    }
-    return run_guessing(sampler, matcher, harness);
-  };
-
-  const RunResult serial = run(false);
-  const RunResult parallel = run(true);
-  // The run must actually find matches, or the comparison is vacuous.
-  ASSERT_GT(serial.final().matched, 0u);
-  expect_same_run(serial, parallel);
-}
-
 TEST(ParallelHarness, DynamicRunMatchesSerialBitwise) {
-  // DynamicSampler consumes match feedback, so the harness must refuse to
+  // DynamicSampler consumes match feedback, so the session must refuse to
   // pipeline generation even when asked — and with the pool only speeding
   // up inverse/decode/matching, the metrics must not change.
   const auto& env = tiny_trained_flow();
-  const HashSetMatcher matcher(reachable_targets());
+  HashSetMatcher matcher(reachable_targets());
   util::ThreadPool pool(4);
 
   auto run = [&](bool parallel) {
-    DynamicSamplerConfig config = table1_parameters(20000);
-    config.seed = 66;
-    config.batch_size = 1024;
-    if (parallel) config.pool = &pool;
-    DynamicSampler sampler(env.model, env.encoder, config);
-    HarnessConfig harness;
-    harness.budget = 20000;
-    harness.chunk_size = 2048;
+    DynamicSamplerConfig sampler_config = table1_parameters(20000);
+    sampler_config.seed = 66;
+    sampler_config.batch_size = 1024;
+    if (parallel) sampler_config.pool = &pool;
+    DynamicSampler sampler(env.model, env.encoder, sampler_config);
+    SessionConfig config;
+    config.budget = 20000;
+    config.chunk_size = 2048;
     if (parallel) {
-      harness.pool = &pool;
-      harness.overlap_generation = true;  // ignored: feedback generator
+      config.pool = &pool;
+      config.pipeline_depth = 1;  // ignored: feedback generator
     }
-    return run_guessing(sampler, matcher, harness);
+    AttackSession session(sampler, matcher, config);
+    session.run();
+    return session.result();
   };
 
   const RunResult serial = run(false);
   const RunResult parallel = run(true);
   ASSERT_GT(serial.final().matched, 0u);
-  expect_same_run(serial, parallel);
+  PF_EXPECT_SAME_RUN(serial, parallel);
 }
 
-// Stateless generator with a deterministic stream, used to pin the overlap
-// machinery itself (chunk schedule, pipelined call order) independently of
-// the flow.
-class CountingGenerator : public GuessGenerator {
- public:
-  void generate(std::size_t n, std::vector<std::string>& out) override {
-    for (std::size_t i = 0; i < n; ++i) {
-      out.push_back("g" + std::to_string(cursor_++));
-    }
+TEST(ParallelHarness, PipelinedCustomCheckpointsStayExact) {
+  std::vector<std::string> targets;
+  for (std::size_t v = 0; v < (1u << 14); v += 7) {
+    targets.push_back("g" + std::to_string(v));
   }
-  std::string name() const override { return "counting"; }
-
- private:
-  std::size_t cursor_ = 0;
-};
-
-TEST(ParallelHarness, OverlappedScheduleCoversExactBudget) {
-  HashSetMatcher matcher({"g7", "g1000", "g54000", "nope"});
+  HashSetMatcher matcher(targets);
   util::ThreadPool pool(2);
 
-  auto run = [&](bool overlap) {
-    CountingGenerator generator;
-    HarnessConfig harness;
-    harness.budget = 54321;
-    harness.chunk_size = 1000;
-    harness.pool = overlap ? &pool : nullptr;
-    harness.overlap_generation = overlap;
-    return run_guessing(generator, matcher, harness);
-  };
+  ReferenceConfig reference;
+  reference.budget = 5000;
+  reference.chunk_size = 4096;  // larger than checkpoint spacing
+  reference.checkpoints = {10, 100, 2500, 5000};
+  MixingGenerator reference_generator;
+  const RunResult expected =
+      reference_run(reference_generator, matcher, reference);
 
-  const RunResult serial = run(false);
-  const RunResult parallel = run(true);
-  EXPECT_EQ(parallel.final().guesses, 54321u);
-  EXPECT_EQ(parallel.final().matched, 3u);
-  expect_same_run(serial, parallel);
-}
-
-TEST(ParallelHarness, OverlappedCustomCheckpointsStayExact) {
-  HashSetMatcher matcher({"g5"});
-  util::ThreadPool pool(2);
-
-  auto run = [&](bool overlap) {
-    CountingGenerator generator;
-    HarnessConfig harness;
-    harness.budget = 5000;
-    harness.chunk_size = 4096;  // larger than checkpoint spacing
-    harness.checkpoints = {10, 100, 2500, 5000};
-    harness.pool = overlap ? &pool : nullptr;
-    harness.overlap_generation = overlap;
-    return run_guessing(generator, matcher, harness);
-  };
-
-  const RunResult serial = run(false);
-  const RunResult parallel = run(true);
-  ASSERT_EQ(parallel.checkpoints.size(), 4u);
-  EXPECT_EQ(parallel.checkpoints[0].guesses, 10u);
-  EXPECT_EQ(parallel.checkpoints[2].guesses, 2500u);
-  expect_same_run(serial, parallel);
+  MixingGenerator generator;
+  SessionConfig config;
+  config.budget = reference.budget;
+  config.chunk_size = reference.chunk_size;
+  config.checkpoints = reference.checkpoints;
+  config.pipeline_depth = 1;
+  config.pool = &pool;
+  AttackSession session(generator, matcher, config);
+  session.run();
+  const RunResult actual = session.result();
+  ASSERT_EQ(actual.checkpoints.size(), 4u);
+  EXPECT_EQ(actual.checkpoints[0].guesses, 10u);
+  EXPECT_EQ(actual.checkpoints[2].guesses, 2500u);
+  PF_EXPECT_SAME_RUN(expected, actual);
 }
 
 }  // namespace

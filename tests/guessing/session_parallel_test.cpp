@@ -1,7 +1,9 @@
 // Determinism of the pipelined AttackSession: the persistent producer at
-// any depth, the tracker stage, sharded matching across the pool, and
-// mid-pipeline save/resume must all reproduce the serial run's metrics
-// exactly. Runs under the `thread_safety` CTest label (and its TSan job).
+// any depth, its tracker drain (inline or on the pool), sharded matching
+// across the pool, and mid-pipeline save/resume must all reproduce the
+// serial run's metrics exactly. Pooled samplers are pinned in
+// parallel_harness_test.cpp. Runs under the `thread_safety` CTest label
+// (and its TSan job).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -316,12 +318,12 @@ TEST(SessionParallel, ProducerExceptionSurfacesInStep) {
       std::runtime_error);
 }
 
-// A pipeline error must leave the session retryable: a step() retried
-// after the throw restarts the pipeline with the consumed-but-unfolded
-// tracker backlog re-seeded (tracked_chunks_ short by the backlog, drain
-// re-spawned, erroring chunk requeued) — before the fix the leftover
-// chunks skewed the tracked/consumed accounting and the next checkpoint
-// sync barrier deadlocked. The generator throws *before* touching its
+// A pipeline error must leave the session retryable on every placement:
+// inline generation (depth 0), a producer thread with the tracker drain
+// inline (no pool) or on the pool. A step() retried after the throw
+// restarts the pipeline and re-folds any consumed-but-unfolded backlog
+// before the next checkpoint sync (an earlier accounting of that backlog
+// deadlocked the barrier). The generator throws *before* touching its
 // stream state, so every retry replays the identical stream and the final
 // metrics must still be bitwise equal to the serial reference.
 TEST(SessionParallel, PipelineErrorRetryReplaysStreamBitwise) {
@@ -344,41 +346,48 @@ TEST(SessionParallel, PipelineErrorRetryReplaysStreamBitwise) {
   HashSetMatcher matcher(mixing_targets());
   util::ThreadPool pool(2);
 
-  SessionConfig config;
-  config.budget = 40000;
-  config.chunk_size = 500;  // 80 chunks => ~16 error/restart cycles
-  config.checkpoints = {5000, 10000, 20000, 30000, 40000};
-  config.pipeline_depth = 3;
-  config.pool = &pool;  // tracker stage = pool drain task (the fixed path)
+  for (const std::size_t depth : {0u, 1u, 3u}) {
+    for (const bool pooled : {true, false}) {
+      SCOPED_TRACE("depth " + std::to_string(depth) +
+                   (pooled ? ", pool" : ", no pool"));
+      SessionConfig config;
+      config.budget = 40000;
+      config.chunk_size = 500;  // 80 chunks => ~16 error/restart cycles
+      config.checkpoints = {5000, 10000, 20000, 30000, 40000};
+      config.pipeline_depth = depth;
+      config.pool = pooled ? &pool : nullptr;
 
-  ThrowEveryFifth generator;
-  AttackSession session(generator, matcher, config);
-  std::size_t errors = 0;
-  while (!session.finished()) {
-    try {
-      if (!session.step()) break;
-    } catch (const std::runtime_error&) {
-      ++errors;  // surfaced once per failed generate; session stays usable
+      ThrowEveryFifth generator;
+      AttackSession session(generator, matcher, config);
+      std::size_t errors = 0;
+      while (!session.finished()) {
+        try {
+          if (!session.step()) break;
+        } catch (const std::runtime_error&) {
+          ++errors;  // surfaced once per failed generate; stays usable
+        }
+      }
+      EXPECT_GE(errors, 10u);
+      EXPECT_TRUE(session.finished());
+
+      MixingGenerator reference_generator;
+      ReferenceConfig reference;
+      reference.budget = config.budget;
+      reference.chunk_size = config.chunk_size;
+      reference.checkpoints = config.checkpoints;
+      PF_EXPECT_SAME_RUN(
+          reference_run(reference_generator, matcher, reference),
+          session.result());
     }
   }
-  EXPECT_GE(errors, 10u);
-  EXPECT_TRUE(session.finished());
-
-  MixingGenerator reference_generator;
-  ReferenceConfig reference;
-  reference.budget = config.budget;
-  reference.chunk_size = config.chunk_size;
-  reference.checkpoints = config.checkpoints;
-  PF_EXPECT_SAME_RUN(
-      reference_run(reference_generator, matcher, reference),
-      session.result());
 }
 
-// Same retry machinery, but the error comes from the matcher on the
-// producer thread. The generator's stream had already advanced past the
-// dropped chunk, so bitwise equality is off the table — what must hold is
-// the accounting: the session completes its exact budget, every checkpoint
-// lands, and nothing deadlocks on the tracker barrier.
+// Same retry machinery, but the error comes from the matcher: inline at
+// depth 0, on the producer thread at depth 2. The accounting must hold —
+// the session completes its exact budget, every checkpoint lands, and
+// nothing deadlocks on the tracker barrier — and since a chunk whose match
+// throws is requeued unmatched (the generator's stream is already past
+// it), the metrics stay bitwise equal to the serial reference.
 TEST(SessionParallel, PipelineErrorFromMatcherKeepsAccountingConsistent) {
   class ThrowingMatcher : public Matcher {
    public:
@@ -405,37 +414,50 @@ TEST(SessionParallel, PipelineErrorFromMatcherKeepsAccountingConsistent) {
     mutable std::atomic<int> calls_{0};
   };
 
-  ThrowingMatcher matcher(mixing_targets());
   util::ThreadPool pool(2);
 
-  SessionConfig config;
-  config.budget = 30000;
-  config.chunk_size = 500;
-  config.checkpoints = {10000, 20000, 30000};
-  config.pipeline_depth = 2;
-  config.pool = &pool;
+  for (const std::size_t depth : {0u, 2u}) {
+    SCOPED_TRACE("depth " + std::to_string(depth));
+    ThrowingMatcher matcher(mixing_targets());
+    SessionConfig config;
+    config.budget = 30000;
+    config.chunk_size = 500;
+    config.checkpoints = {10000, 20000, 30000};
+    config.pipeline_depth = depth;
+    config.pool = &pool;
 
-  MixingGenerator generator;
-  AttackSession session(generator, matcher, config);
-  std::size_t errors = 0;
-  while (!session.finished()) {
-    try {
-      if (!session.step()) break;
-    } catch (const std::runtime_error&) {
-      ++errors;
+    MixingGenerator generator;
+    AttackSession session(generator, matcher, config);
+    std::size_t errors = 0;
+    while (!session.finished()) {
+      try {
+        if (!session.step()) break;
+      } catch (const std::runtime_error&) {
+        ++errors;
+      }
     }
-  }
-  EXPECT_GE(errors, 1u);
-  EXPECT_TRUE(session.finished());
+    EXPECT_GE(errors, 1u);
+    EXPECT_TRUE(session.finished());
 
-  const RunResult result = session.result();
-  EXPECT_EQ(result.final().guesses, 30000u);
-  ASSERT_EQ(result.checkpoints.size(), 3u);
-  for (const Checkpoint& cp : result.checkpoints) {
-    // Unique can never exceed produced, and the tracker folded every
-    // consumed chunk exactly once — no double-folds from requeued chunks.
-    EXPECT_LE(cp.unique, cp.guesses);
-    EXPECT_GT(cp.unique, 0u);
+    const RunResult result = session.result();
+    EXPECT_EQ(result.final().guesses, 30000u);
+    ASSERT_EQ(result.checkpoints.size(), 3u);
+    for (const Checkpoint& cp : result.checkpoints) {
+      // Unique can never exceed produced, and the tracker folded every
+      // consumed chunk exactly once — no double-folds from requeued chunks.
+      EXPECT_LE(cp.unique, cp.guesses);
+      EXPECT_GT(cp.unique, 0u);
+    }
+
+    MixingGenerator reference_generator;
+    ReferenceConfig reference;
+    reference.budget = config.budget;
+    reference.chunk_size = config.chunk_size;
+    reference.checkpoints = config.checkpoints;
+    const HashSetMatcher reference_matcher(mixing_targets());
+    PF_EXPECT_SAME_RUN(
+        reference_run(reference_generator, reference_matcher, reference),
+        result);
   }
 }
 

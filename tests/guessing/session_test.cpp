@@ -1,5 +1,5 @@
 // AttackSession equivalence and behavior suite (serial paths): the session
-// must reproduce the seed run_guessing loop's metrics bitwise, sharded
+// must reproduce the seed guessing loop's metrics bitwise, sharded
 // matchers must agree with the single hash set for every shard count, the
 // sketch tracker must land within 2% of exact on a million-guess stream,
 // and save/resume must be indistinguishable from an uninterrupted run.
@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "guessing/harness.hpp"
 #include "reference_harness.hpp"
 
 namespace passflow::guessing {
@@ -85,7 +84,7 @@ TEST(AttackSession, CustomCheckpointsAndNoTrackingMatchReference) {
   PF_EXPECT_SAME_RUN(expected, actual);
 }
 
-TEST(AttackSession, WrapperRunGuessingMatchesReference) {
+TEST(AttackSession, UnevenChunkSizeMatchesReference) {
   HashSetMatcher matcher(mixing_targets());
 
   MixingGenerator ref_gen;
@@ -95,10 +94,12 @@ TEST(AttackSession, WrapperRunGuessingMatchesReference) {
   const RunResult expected = reference_run(ref_gen, matcher, ref_config);
 
   MixingGenerator gen;
-  HarnessConfig harness;
-  harness.budget = 20000;
-  harness.chunk_size = 777;
-  const RunResult actual = run_guessing(gen, matcher, harness);
+  SessionConfig config;
+  config.budget = 20000;
+  config.chunk_size = 777;
+  AttackSession session(gen, matcher, config);
+  session.run();
+  const RunResult actual = session.result();
   PF_EXPECT_SAME_RUN(expected, actual);
 }
 
@@ -449,6 +450,19 @@ TEST(AttackSession, ZeroChunkSizeRejected) {
   SessionConfig config;
   config.chunk_size = 0;
   EXPECT_THROW(AttackSession(gen, matcher, config), std::invalid_argument);
+}
+
+TEST(AttackSession, CheckpointPastBudgetRejected) {
+  // Chunks are sized up to the next checkpoint, so a checkpoint past the
+  // budget would make the run generate (and report) more than the budget.
+  HashSetMatcher matcher({});
+  MixingGenerator gen;
+  SessionConfig config;
+  config.budget = 1000;
+  config.checkpoints = {5000};
+  EXPECT_THROW(AttackSession(gen, matcher, config), std::invalid_argument);
+  config.checkpoints = {10, 1000};
+  EXPECT_NO_THROW(AttackSession(gen, matcher, config));
 }
 
 }  // namespace

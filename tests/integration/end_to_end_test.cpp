@@ -14,10 +14,10 @@
 #include "data/synthetic_rockyou.hpp"
 #include "flow/trainer.hpp"
 #include "guessing/dynamic_sampler.hpp"
-#include "guessing/harness.hpp"
 #include "guessing/interpolation.hpp"
 #include "guessing/reference_harness.hpp"
 #include "guessing/scheduler.hpp"
+#include "guessing/session.hpp"
 #include "guessing/static_sampler.hpp"
 #include "test_support.hpp"
 #include "util/checkpoint.hpp"
@@ -166,14 +166,25 @@ std::vector<std::string> fresh_target_set() {
   return {unique.begin(), unique.end()};
 }
 
+// Runs `generator` through one serial session of `budget` guesses.
+guessing::RunResult run_attack(guessing::GuessGenerator& generator,
+                               const guessing::Matcher& matcher,
+                               std::size_t budget,
+                               std::size_t chunk_size = 16384) {
+  guessing::SessionConfig config;
+  config.budget = budget;
+  config.chunk_size = chunk_size;
+  guessing::AttackSession session(generator, matcher, config);
+  session.run();
+  return session.result();
+}
+
 TEST_F(EndToEndTest, StaticSamplerFindsMatches) {
   guessing::HashSetMatcher matcher(fresh_target_set());
   guessing::StaticSamplerConfig config;
   config.seed = 101;
   guessing::StaticSampler sampler(*model_, *encoder_, config);
-  guessing::HarnessConfig harness;
-  harness.budget = 60000;
-  const auto result = run_guessing(sampler, matcher, harness);
+  const auto result = run_attack(sampler, matcher, 60000);
   EXPECT_GE(result.final().matched, 3u);
 }
 
@@ -184,15 +195,13 @@ TEST_F(EndToEndTest, DynamicBeatsStaticOnSameBudget) {
   guessing::StaticSamplerConfig s_config;
   s_config.seed = 7;
   guessing::StaticSampler static_sampler(*model_, *encoder_, s_config);
-  guessing::HarnessConfig harness;
-  harness.budget = budget;
-  const auto static_result = run_guessing(static_sampler, matcher, harness);
+  const auto static_result = run_attack(static_sampler, matcher, budget);
 
   guessing::DynamicSamplerConfig d_config =
       guessing::table1_parameters(budget);
   d_config.seed = 7;
   guessing::DynamicSampler dynamic_sampler(*model_, *encoder_, d_config);
-  const auto dynamic_result = run_guessing(dynamic_sampler, matcher, harness);
+  const auto dynamic_result = run_attack(dynamic_sampler, matcher, budget);
 
   // The paper's core claim at every budget (Table II): DS >= static.
   EXPECT_GE(dynamic_result.final().matched, static_result.final().matched);
@@ -218,10 +227,7 @@ TEST_F(EndToEndTest, GaussianSmoothingIncreasesUniqueGuesses) {
     std::vector<std::string> warmup;
     sampler.generate(1024, warmup);
     for (std::size_t i = 0; i < 4; ++i) sampler.on_match(i * 7, warmup[i * 7]);
-    guessing::HarnessConfig harness;
-    harness.budget = 20000;
-    harness.chunk_size = 1024;
-    return run_guessing(sampler, matcher, harness);
+    return run_attack(sampler, matcher, 20000, 1024);
   };
   const auto without_gs = run_with(false);
   const auto with_gs = run_with(true);
@@ -234,9 +240,7 @@ TEST_F(EndToEndTest, MatchedPasswordsAreReallyInTargetSet) {
   guessing::StaticSamplerConfig config;
   config.seed = 13;
   guessing::StaticSampler sampler(*model_, *encoder_, config);
-  guessing::HarnessConfig harness;
-  harness.budget = 30000;
-  const auto result = run_guessing(sampler, matcher, harness);
+  const auto result = run_attack(sampler, matcher, 30000);
   EXPECT_FALSE(result.matched_passwords.empty());
   const std::unordered_set<std::string> target_set(targets.begin(),
                                                    targets.end());
@@ -260,9 +264,7 @@ TEST_F(EndToEndTest, MarkovBaselineAlsoFindsMatches) {
   markov.train(split_->train);
   baselines::MarkovSampler sampler(markov);
   guessing::HashSetMatcher matcher(fresh_target_set());
-  guessing::HarnessConfig harness;
-  harness.budget = 20000;
-  const auto result = run_guessing(sampler, matcher, harness);
+  const auto result = run_attack(sampler, matcher, 20000);
   EXPECT_GT(result.final().matched, 0u);
 }
 
@@ -354,9 +356,7 @@ TEST_F(EndToEndTest, CheckpointMetricsMonotoneInBudget) {
   guessing::StaticSamplerConfig config;
   config.seed = 17;
   guessing::StaticSampler sampler(*model_, *encoder_, config);
-  guessing::HarnessConfig harness;
-  harness.budget = 10000;
-  const auto result = run_guessing(sampler, matcher, harness);
+  const auto result = run_attack(sampler, matcher, 10000);
   for (std::size_t i = 1; i < result.checkpoints.size(); ++i) {
     EXPECT_GE(result.checkpoints[i].matched,
               result.checkpoints[i - 1].matched);
