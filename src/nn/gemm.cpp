@@ -66,6 +66,7 @@ std::vector<float>& tls_bpack() {
      (!defined(__clang__) && defined(__GNUC__) && __GNUC__ >= 12))
 #define PASSFLOW_GEMM_CLONES \
   __attribute__((target_clones("arch=x86-64-v4", "arch=x86-64-v3", "default")))
+#define PASSFLOW_GEMM_CLONES_ON 1
 #else
 #define PASSFLOW_GEMM_CLONES
 #endif
@@ -381,6 +382,16 @@ Backend parse_backend(const std::string& name) {
   if (name == "naive") return Backend::kNaive;
   if (name == "blas") return Backend::kBlas;
   return Backend::kBlocked;
+}
+
+const char* kernel_name() {
+  // The v3/v4 clones contract the multiply-add into FMA only when
+  // optimizing; an unoptimized build runs separate multiplies and adds.
+#if defined(PASSFLOW_GEMM_CLONES_ON) && defined(__OPTIMIZE__)
+  if (__builtin_cpu_supports("x86-64-v4")) return "avx512";
+  if (__builtin_cpu_supports("x86-64-v3")) return "avx2";
+#endif
+  return "portable";
 }
 
 void gemm_nn(Backend be, const Matrix& a, const Matrix& b, Matrix& out) {

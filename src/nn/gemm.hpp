@@ -38,6 +38,10 @@ bool available(Backend be);
 const char* backend_name(Backend be);
 // Parses "naive" / "blocked" / "blas"; anything else returns kBlocked.
 Backend parse_backend(const std::string& name);
+// The micro-kernel the blocked backend runs on this host and build:
+// "avx512", "avx2" or "portable". Read-only; the FMA kernels ("avx512",
+// "avx2") compute the same bits.
+const char* kernel_name();
 
 // out = a * b. Shapes: (m x k) * (k x n) -> (m x n).
 void gemm_nn(Backend be, const Matrix& a, const Matrix& b, Matrix& out);
