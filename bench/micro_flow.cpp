@@ -2,8 +2,11 @@
 // NLL-backward throughput at paper architecture (18x256x2) and at the bench
 // default (8x96x2), plus encoder and sampler throughput, the GEMM backend
 // size sweep and the train-step (serial vs pooled) comparison behind
-// BENCH_gemm.json.
+// BENCH_gemm.json. The GEMM and flow benches are labeled with the GEMM
+// kernel this host dispatches to (nn::gemm::kernel_name()).
 #include <benchmark/benchmark.h>
+
+#include <string>
 
 #ifdef _OPENMP
 #include <omp.h>
@@ -32,6 +35,26 @@ pf::nn::Matrix random_batch(std::size_t rows, std::size_t cols,
   return m;
 }
 
+// Pins OpenMP to one thread while alive, so a timed loop on the calling
+// thread measures one core rather than the whole OpenMP team.
+class SerialOmp {
+ public:
+#ifdef _OPENMP
+  SerialOmp() : saved_(omp_get_max_threads()) { omp_set_num_threads(1); }
+  ~SerialOmp() { omp_set_num_threads(saved_); }
+#else
+  SerialOmp() {}
+  ~SerialOmp() {}
+#endif
+  SerialOmp(const SerialOmp&) = delete;
+  SerialOmp& operator=(const SerialOmp&) = delete;
+
+ private:
+#ifdef _OPENMP
+  int saved_;
+#endif
+};
+
 pf::flow::FlowConfig config_for(int couplings, int hidden) {
   pf::flow::FlowConfig config;
   config.dim = 10;
@@ -41,6 +64,9 @@ pf::flow::FlowConfig config_for(int couplings, int hidden) {
   return config;
 }
 
+// The serial flow benches time one core: on the main thread the GEMM's
+// `omp parallel for` would otherwise split a 2048-row pass across the whole
+// OpenMP team.
 void BM_FlowForward(benchmark::State& state) {
   pf::util::Rng rng(1);
   pf::flow::FlowModel model(
@@ -49,10 +75,14 @@ void BM_FlowForward(benchmark::State& state) {
       rng);
   const pf::nn::Matrix x = random_batch(
       static_cast<std::size_t>(state.range(2)), 10, 2);
-  for (auto _ : state) {
-    const auto z = model.forward_inference(x);
-    benchmark::DoNotOptimize(z.data());
+  {
+    const SerialOmp serial;
+    for (auto _ : state) {
+      const auto z = model.forward_inference(x);
+      benchmark::DoNotOptimize(z.data());
+    }
   }
+  state.SetLabel(pf::nn::gemm::kernel_name());
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           state.range(2));
 }
@@ -69,14 +99,23 @@ void BM_FlowInverse(benchmark::State& state) {
       rng);
   const pf::nn::Matrix z = random_batch(
       static_cast<std::size_t>(state.range(2)), 10, 4);
-  for (auto _ : state) {
-    const auto x = model.inverse(z);
-    benchmark::DoNotOptimize(x.data());
+  {
+    const SerialOmp serial;
+    for (auto _ : state) {
+      const auto x = model.inverse(z);
+      benchmark::DoNotOptimize(x.data());
+    }
   }
+  state.SetLabel(pf::nn::gemm::kernel_name());
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           state.range(2));
 }
-BENCHMARK(BM_FlowInverse)->Args({8, 96, 2048})->Args({18, 256, 2048});
+// 18x256x512 is one attack pool worker's share of a 2048-row chunk on four
+// cores.
+BENCHMARK(BM_FlowInverse)
+    ->Args({8, 96, 2048})
+    ->Args({18, 256, 2048})
+    ->Args({18, 256, 512});
 
 void BM_FlowNllBackward(benchmark::State& state) {
   pf::util::Rng rng(5);
@@ -137,6 +176,7 @@ void BM_FlowInverseParallel(benchmark::State& state) {
     const auto x = model.inverse(z, &pool);
     benchmark::DoNotOptimize(x.data());
   }
+  state.SetLabel(pf::nn::gemm::kernel_name());
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           state.range(2));
 }
@@ -206,6 +246,16 @@ BENCHMARK(BM_GuessingHarness)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 // pool (e.g. pthread OpenBLAS) ignores it, so for a fair blas datapoint
 // also export OPENBLAS_NUM_THREADS=1 (or the vendor equivalent).
 
+// "blocked/avx512", "naive", ...: the backend, and the kernel when the
+// backend is the blocked one.
+std::string gemm_label(pf::nn::gemm::Backend backend) {
+  std::string label = pf::nn::gemm::backend_name(backend);
+  if (backend == pf::nn::gemm::Backend::kBlocked) {
+    label += std::string("/") + pf::nn::gemm::kernel_name();
+  }
+  return label;
+}
+
 void BM_GemmSquare(benchmark::State& state) {
   const auto backend = static_cast<pf::nn::gemm::Backend>(state.range(0));
   if (!pf::nn::gemm::available(backend)) {
@@ -216,18 +266,14 @@ void BM_GemmSquare(benchmark::State& state) {
   const pf::nn::Matrix a = random_batch(size, size, 11);
   const pf::nn::Matrix b = random_batch(size, size, 12);
   pf::nn::Matrix out;
-#ifdef _OPENMP
-  const int saved_threads = omp_get_max_threads();
-  omp_set_num_threads(1);
-#endif
-  for (auto _ : state) {
-    pf::nn::gemm::gemm_nn(backend, a, b, out);
-    benchmark::DoNotOptimize(out.data());
+  {
+    const SerialOmp serial;
+    for (auto _ : state) {
+      pf::nn::gemm::gemm_nn(backend, a, b, out);
+      benchmark::DoNotOptimize(out.data());
+    }
   }
-#ifdef _OPENMP
-  omp_set_num_threads(saved_threads);
-#endif
-  state.SetLabel(pf::nn::gemm::backend_name(backend));
+  state.SetLabel(gemm_label(backend));
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 2 *
                           static_cast<int64_t>(size) *
                           static_cast<int64_t>(size) *
@@ -253,21 +299,17 @@ void BM_GemmTrainShapes(benchmark::State& state) {
   const pf::nn::Matrix x = random_batch(512, 256, 13);
   const pf::nn::Matrix w = random_batch(256, 256, 14);
   pf::nn::Matrix h, dw, dx;
-#ifdef _OPENMP
-  const int saved_threads = omp_get_max_threads();
-  omp_set_num_threads(1);
-#endif
-  for (auto _ : state) {
-    pf::nn::gemm::gemm_nn(backend, x, w, h);     // forward
-    pf::nn::gemm::gemm_tn(backend, x, h, dw);    // weight gradient
-    pf::nn::gemm::gemm_nt(backend, h, w, dx);    // input gradient
-    benchmark::DoNotOptimize(dw.data());
-    benchmark::DoNotOptimize(dx.data());
+  {
+    const SerialOmp serial;
+    for (auto _ : state) {
+      pf::nn::gemm::gemm_nn(backend, x, w, h);     // forward
+      pf::nn::gemm::gemm_tn(backend, x, h, dw);    // weight gradient
+      pf::nn::gemm::gemm_nt(backend, h, w, dx);    // input gradient
+      benchmark::DoNotOptimize(dw.data());
+      benchmark::DoNotOptimize(dx.data());
+    }
   }
-#ifdef _OPENMP
-  omp_set_num_threads(saved_threads);
-#endif
-  state.SetLabel(pf::nn::gemm::backend_name(backend));
+  state.SetLabel(gemm_label(backend));
 }
 BENCHMARK(BM_GemmTrainShapes)->ArgNames({"backend"})->Arg(0)->Arg(1);
 

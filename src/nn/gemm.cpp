@@ -8,21 +8,32 @@
 #include <string>
 #include <vector>
 
+// The explicit-FMA kernels need x86-64 intrinsics and per-function target
+// attributes; everything else runs the portable kernel.
+#if defined(__x86_64__) && defined(__GNUC__)
+#define PASSFLOW_GEMM_X86 1
+#include <immintrin.h>
+#endif
+
 namespace passflow::nn::gemm {
 
 namespace {
 
 // ---------------------------------------------------------------- blocked
 //
-// GotoBLAS-style blocking. The micro-kernel computes an MR x NR tile of C
+// GotoBLAS-style blocking. A register tile computes an MR x NR block of C
 // held entirely in registers while streaming one packed column of A
-// (MR floats) and one packed row of B (NR floats) per k step. NR = 16 is
-// two AVX-512 lanes / four SSE lanes; MR x NR = 4 x 16 accumulators fit
-// the 16 ymm registers of AVX2 exactly. Panels are zero-padded to MR/NR
-// multiples so the micro-kernel never branches on tails; the write-back
-// clips to the valid region instead.
-constexpr std::size_t kMR = 4;
-constexpr std::size_t kNR = 16;
+// (MR floats) and one packed row of B (NR floats) per k step. Panels are
+// zero-padded to MR/NR multiples so the tile never branches on tails; the
+// write-back clips to the valid region instead.
+//
+// Every tile computes each output element the same way: a multiply-add
+// chain over the k block in ascending k, starting from zero, then stored
+// (first k block) or added to C (later ones). The FMA tiles fuse each
+// multiply-add, so all of them give the same bits whatever their shape;
+// the portable tile leaves fusing to the compiler, which on baseline x86-64
+// rounds each product first.
+//
 // L2-sized A block, L1-sized B panel strips, L3-sized B block.
 constexpr std::size_t kMC = 128;
 constexpr std::size_t kKC = 384;
@@ -44,68 +55,145 @@ std::vector<float>& tls_bpack() {
   return buf;
 }
 
-// Compile the hot kernel once per ISA level and pick at load time, so the
-// portable baseline build still uses FMA/AVX on machines that have them.
-// The ifunc resolver behind target_clones runs before sanitizer runtimes
-// initialize and segfaults under TSan/ASan, so sanitized builds fall back
-// to the single baseline kernel.
-#if defined(__has_feature)
-#if __has_feature(thread_sanitizer) || __has_feature(address_sanitizer)
-#define PASSFLOW_SANITIZED 1
-#endif
-#endif
-#if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
-#define PASSFLOW_SANITIZED 1
-#endif
+// Writes the valid mr x nr corner of a full tile (row stride tile_nr) into
+// C, or adds it to C.
+void store_clipped(const float* tile, std::size_t tile_nr, float* c,
+                   std::size_t ldc, std::size_t mr, std::size_t nr,
+                   bool accumulate) {
+  for (std::size_t i = 0; i < mr; ++i) {
+    float* crow = c + i * ldc;
+    const float* trow = tile + i * tile_nr;
+    if (accumulate) {
+#pragma omp simd
+      for (std::size_t j = 0; j < nr; ++j) crow[j] += trow[j];
+    } else {
+#pragma omp simd
+      for (std::size_t j = 0; j < nr; ++j) crow[j] = trow[j];
+    }
+  }
+}
 
-// The "arch=x86-64-v*" clone values need GCC >= 12 or Clang >= 17; older
-// compilers reject them at parse time, so they get the baseline kernel.
-#if defined(__x86_64__) && defined(__gnu_linux__) &&          \
-    !defined(PASSFLOW_SANITIZED) &&                           \
-    ((defined(__clang_major__) && __clang_major__ >= 17) ||   \
-     (!defined(__clang__) && defined(__GNUC__) && __GNUC__ >= 12))
-#define PASSFLOW_GEMM_CLONES \
-  __attribute__((target_clones("arch=x86-64-v4", "arch=x86-64-v3", "default")))
-#define PASSFLOW_GEMM_CLONES_ON 1
-#else
-#define PASSFLOW_GEMM_CLONES
+// Hosts with neither AVX-512 nor AVX2+FMA, and everything off x86-64.
+struct PortableTile {
+  static constexpr std::size_t kMR = 4;
+  static constexpr std::size_t kNR = 16;
+
+  static void run(std::size_t kc, const float* a, const float* b, float* c,
+                  std::size_t ldc, std::size_t mr, std::size_t nr,
+                  bool accumulate) {
+    float acc[kMR * kNR] = {};
+    for (std::size_t p = 0; p < kc; ++p) {
+      const float* bv = b + p * kNR;
+      const float* av = a + p * kMR;
+      for (std::size_t i = 0; i < kMR; ++i) {
+        const float ai = av[i];
+        float* arow = acc + i * kNR;
+#pragma omp simd
+        for (std::size_t j = 0; j < kNR; ++j) arow[j] += ai * bv[j];
+      }
+    }
+    store_clipped(acc, kNR, c, ldc, mr, nr, accumulate);
+  }
+};
+
+#ifdef PASSFLOW_GEMM_X86
+// 8 x 32 in 16 zmm accumulators: two B loads and eight broadcasts feed 16
+// independent FMAs per k step. Products of fewer than 8 rows pad out to 8.
+struct Avx512Tile {
+  static constexpr std::size_t kMR = 8;
+  static constexpr std::size_t kNR = 32;
+
+  __attribute__((target("avx512f"))) static void run(
+      std::size_t kc, const float* a, const float* b, float* c,
+      std::size_t ldc, std::size_t mr, std::size_t nr, bool accumulate) {
+    __m512 acc[kMR][2];
+    for (std::size_t i = 0; i < kMR; ++i) {
+      acc[i][0] = _mm512_setzero_ps();
+      acc[i][1] = _mm512_setzero_ps();
+    }
+    for (std::size_t p = 0; p < kc; ++p, a += kMR, b += kNR) {
+      const __m512 b0 = _mm512_loadu_ps(b);
+      const __m512 b1 = _mm512_loadu_ps(b + 16);
+      for (std::size_t i = 0; i < kMR; ++i) {
+        const __m512 ai = _mm512_set1_ps(a[i]);
+        acc[i][0] = _mm512_fmadd_ps(ai, b0, acc[i][0]);
+        acc[i][1] = _mm512_fmadd_ps(ai, b1, acc[i][1]);
+      }
+    }
+    alignas(64) float tile[kMR * kNR];
+    for (std::size_t i = 0; i < kMR; ++i) {
+      _mm512_store_ps(tile + i * kNR, acc[i][0]);
+      _mm512_store_ps(tile + i * kNR + 16, acc[i][1]);
+    }
+    store_clipped(tile, kNR, c, ldc, mr, nr, accumulate);
+  }
+};
+
+// 4 x 16 in ymm: eight accumulators, two B loads and four broadcasts per k
+// step, leaving room in AVX2's 16 registers.
+struct Avx2Tile {
+  static constexpr std::size_t kMR = 4;
+  static constexpr std::size_t kNR = 16;
+
+  __attribute__((target("avx2,fma"))) static void run(
+      std::size_t kc, const float* a, const float* b, float* c,
+      std::size_t ldc, std::size_t mr, std::size_t nr, bool accumulate) {
+    __m256 acc[kMR][2];
+    for (std::size_t i = 0; i < kMR; ++i) {
+      acc[i][0] = _mm256_setzero_ps();
+      acc[i][1] = _mm256_setzero_ps();
+    }
+    for (std::size_t p = 0; p < kc; ++p, a += kMR, b += kNR) {
+      const __m256 b0 = _mm256_loadu_ps(b);
+      const __m256 b1 = _mm256_loadu_ps(b + 8);
+      for (std::size_t i = 0; i < kMR; ++i) {
+        const __m256 ai = _mm256_broadcast_ss(a + i);
+        acc[i][0] = _mm256_fmadd_ps(ai, b0, acc[i][0]);
+        acc[i][1] = _mm256_fmadd_ps(ai, b1, acc[i][1]);
+      }
+    }
+    alignas(32) float tile[kMR * kNR];
+    for (std::size_t i = 0; i < kMR; ++i) {
+      _mm256_store_ps(tile + i * kNR, acc[i][0]);
+      _mm256_store_ps(tile + i * kNR + 8, acc[i][1]);
+    }
+    store_clipped(tile, kNR, c, ldc, mr, nr, accumulate);
+  }
+};
+#endif  // PASSFLOW_GEMM_X86
+
+enum class Kernel { kPortable, kAvx2, kAvx512 };
+
+// Chosen once, on first use, from the host's CPU features. No ifunc
+// resolver is involved, so sanitizer and debug builds run the same kernel,
+// and compute the same bits, as Release.
+Kernel detect_kernel() {
+#ifdef PASSFLOW_GEMM_X86
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("avx512f")) return Kernel::kAvx512;
+  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
+    return Kernel::kAvx2;
+  }
 #endif
+  return Kernel::kPortable;
+}
+
+Kernel host_kernel() {
+  static const Kernel kernel = detect_kernel();
+  return kernel;
+}
 
 // C[mc x nc] (stride ldc) = or += Apack * Bpack, panels packed as below.
-PASSFLOW_GEMM_CLONES
+template <class Tile>
 void macro_kernel(std::size_t mc, std::size_t nc, std::size_t kc,
                   const float* apack, const float* bpack, float* c,
                   std::size_t ldc, bool accumulate) {
-  for (std::size_t jr = 0; jr < nc; jr += kNR) {
+  for (std::size_t jr = 0; jr < nc; jr += Tile::kNR) {
     const float* bp = bpack + jr * kc;
-    const std::size_t nr = std::min(kNR, nc - jr);
-    for (std::size_t ir = 0; ir < mc; ir += kMR) {
-      const float* ap = apack + ir * kc;
-      const std::size_t mr = std::min(kMR, mc - ir);
-
-      float acc[kMR * kNR] = {};
-      for (std::size_t p = 0; p < kc; ++p) {
-        const float* bv = bp + p * kNR;
-        const float* av = ap + p * kMR;
-        for (std::size_t i = 0; i < kMR; ++i) {
-          const float a = av[i];
-          float* arow = acc + i * kNR;
-#pragma omp simd
-          for (std::size_t j = 0; j < kNR; ++j) arow[j] += a * bv[j];
-        }
-      }
-
-      for (std::size_t i = 0; i < mr; ++i) {
-        float* crow = c + (ir + i) * ldc + jr;
-        const float* arow = acc + i * kNR;
-        if (accumulate) {
-#pragma omp simd
-          for (std::size_t j = 0; j < nr; ++j) crow[j] += arow[j];
-        } else {
-#pragma omp simd
-          for (std::size_t j = 0; j < nr; ++j) crow[j] = arow[j];
-        }
-      }
+    const std::size_t nr = std::min(Tile::kNR, nc - jr);
+    for (std::size_t ir = 0; ir < mc; ir += Tile::kMR) {
+      Tile::run(kc, apack + ir * kc, bp, c + ir * ldc + jr, ldc,
+                std::min(Tile::kMR, mc - ir), nr, accumulate);
     }
   }
 }
@@ -115,9 +203,13 @@ void macro_kernel(std::size_t mc, std::size_t nc, std::size_t kc,
 // matmul, matmul_tn and matmul_nt — the packing step absorbs the transpose.
 // Summation over k runs in ascending order for every output element
 // regardless of OpenMP thread count, so results are deterministic.
-template <class AGet, class BGet>
+template <class Tile, class AGet, class BGet>
 void blocked_impl(std::size_t m, std::size_t n, std::size_t k, AGet a_at,
                   BGet b_at, Matrix& out) {
+  constexpr std::size_t kMR = Tile::kMR;
+  constexpr std::size_t kNR = Tile::kNR;
+  static_assert(kMC % kMR == 0 && kNC % kNR == 0,
+                "cache blocks must hold whole register tiles");
   out.resize(m, n);
   if (m == 0 || n == 0) return;
   if (k == 0) {
@@ -171,10 +263,29 @@ void blocked_impl(std::size_t m, std::size_t n, std::size_t k, AGet a_at,
           }
         }
 
-        macro_kernel(mc, nc, kc, apack.data(), bpack_data,
-                     c + ic * n + jc, n, accumulate);
+        macro_kernel<Tile>(mc, nc, kc, apack.data(), bpack_data,
+                           c + ic * n + jc, n, accumulate);
       }
     }
+  }
+}
+
+// Runs the product on the host's kernel.
+template <class AGet, class BGet>
+void blocked(std::size_t m, std::size_t n, std::size_t k, AGet a_at,
+             BGet b_at, Matrix& out) {
+  switch (host_kernel()) {
+#ifdef PASSFLOW_GEMM_X86
+    case Kernel::kAvx512:
+      blocked_impl<Avx512Tile>(m, n, k, a_at, b_at, out);
+      return;
+    case Kernel::kAvx2:
+      blocked_impl<Avx2Tile>(m, n, k, a_at, b_at, out);
+      return;
+#endif
+    default:
+      blocked_impl<PortableTile>(m, n, k, a_at, b_at, out);
+      return;
   }
 }
 
@@ -182,7 +293,7 @@ void gemm_nn_blocked(const Matrix& a, const Matrix& b, Matrix& out) {
   const std::size_t m = a.rows(), k = a.cols(), n = b.cols();
   const float* ad = a.data();
   const float* bd = b.data();
-  blocked_impl(
+  blocked(
       m, n, k, [ad, k](std::size_t r, std::size_t p) { return ad[r * k + p]; },
       [bd, n](std::size_t p, std::size_t c) { return bd[p * n + c]; }, out);
 }
@@ -191,7 +302,7 @@ void gemm_tn_blocked(const Matrix& a, const Matrix& b, Matrix& out) {
   const std::size_t k = a.rows(), m = a.cols(), n = b.cols();
   const float* ad = a.data();
   const float* bd = b.data();
-  blocked_impl(
+  blocked(
       m, n, k, [ad, m](std::size_t r, std::size_t p) { return ad[p * m + r]; },
       [bd, n](std::size_t p, std::size_t c) { return bd[p * n + c]; }, out);
 }
@@ -200,7 +311,7 @@ void gemm_nt_blocked(const Matrix& a, const Matrix& b, Matrix& out) {
   const std::size_t m = a.rows(), k = a.cols(), n = b.rows();
   const float* ad = a.data();
   const float* bd = b.data();
-  blocked_impl(
+  blocked(
       m, n, k, [ad, k](std::size_t r, std::size_t p) { return ad[r * k + p]; },
       [bd, k](std::size_t p, std::size_t c) { return bd[c * k + p]; }, out);
 }
@@ -385,12 +496,14 @@ Backend parse_backend(const std::string& name) {
 }
 
 const char* kernel_name() {
-  // The v3/v4 clones contract the multiply-add into FMA only when
-  // optimizing; an unoptimized build runs separate multiplies and adds.
-#if defined(PASSFLOW_GEMM_CLONES_ON) && defined(__OPTIMIZE__)
-  if (__builtin_cpu_supports("x86-64-v4")) return "avx512";
-  if (__builtin_cpu_supports("x86-64-v3")) return "avx2";
-#endif
+  switch (host_kernel()) {
+    case Kernel::kAvx512:
+      return "avx512";
+    case Kernel::kAvx2:
+      return "avx2";
+    case Kernel::kPortable:
+      return "portable";
+  }
   return "portable";
 }
 

@@ -5,11 +5,14 @@
 //   kNaive   — the original triple loop (OpenMP over rows, k-inner saxpy).
 //              Kept as the correctness reference and for odd platforms.
 //   kBlocked — cache-blocked, register-tiled kernel in the GotoBLAS style:
-//              A and B are packed into contiguous MR/NR micro-panels, a
-//              4 x 16 micro-kernel accumulates in registers
-//              (#pragma omp simd inner loops, compiled per-ISA via
-//              target_clones so a baseline build still runs AVX2/AVX-512
-//              code on hardware that has it). Default backend.
+//              A and B are packed into contiguous MR/NR micro-panels and a
+//              register tile accumulates in registers. The tile is picked
+//              once, on first use, from the CPU (kernel_name()): explicit
+//              FMA intrinsics compiled under target attributes, 8 x 32 in
+//              zmm on AVX-512, 4 x 16 in ymm on AVX2+FMA, a portable 4 x 16
+//              loop elsewhere. No ifunc runs, so sanitizer and Debug builds
+//              compute the Release bits.
+//              Default backend.
 //   kBlas    — vendor sgemm via find_package(BLAS); only compiled when
 //              CMake found a BLAS (PASSFLOW_HAS_BLAS).
 //
@@ -38,9 +41,9 @@ bool available(Backend be);
 const char* backend_name(Backend be);
 // Parses "naive" / "blocked" / "blas"; anything else returns kBlocked.
 Backend parse_backend(const std::string& name);
-// The micro-kernel the blocked backend runs on this host and build:
-// "avx512", "avx2" or "portable". Read-only; the FMA kernels ("avx512",
-// "avx2") compute the same bits.
+// The kernel the blocked backend runs on this host: "avx512", "avx2" or
+// "portable". Read-only; the FMA kernels ("avx512", "avx2") compute the
+// same bits, one fused multiply-add chain per output element.
 const char* kernel_name();
 
 // out = a * b. Shapes: (m x k) * (k x n) -> (m x n).

@@ -131,6 +131,23 @@ TEST(FlowThreadSafety, PooledForwardInferenceBitwiseEqualsSerial) {
   ASSERT_EQ(serial_log_det, pooled_log_det);
 }
 
+// A row's log p(x) must not depend on its batch: scored alone, the row
+// fills one row of a zero-padded register tile; in a 64-row batch, it
+// shares whole tiles with other rows.
+TEST(FlowThreadSafety, BatchedLogProbRowsEqualRowsScoredAlone) {
+  const auto& env = passflow::testing::tiny_trained_flow();
+  const nn::Matrix x = normal_batch(64, env.model.dim(), 10);
+  const std::vector<double> batched = env.model.log_prob_batch(x);
+  ASSERT_EQ(batched.size(), x.rows());
+  for (std::size_t r = 0; r < x.rows(); ++r) {
+    nn::Matrix row(1, x.cols());
+    for (std::size_t c = 0; c < x.cols(); ++c) row(0, c) = x(r, c);
+    const std::vector<double> alone = env.model.log_prob_batch(row);
+    ASSERT_EQ(alone.size(), 1u);
+    ASSERT_EQ(batched[r], alone[0]) << "row " << r;
+  }
+}
+
 TEST(FlowThreadSafety, PooledSmallBatchFallsBackToSerial) {
   const auto& env = passflow::testing::tiny_trained_flow();
   const nn::Matrix z = normal_batch(4, env.model.dim(), 9);

@@ -7,6 +7,8 @@
 #include <fstream>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <unordered_set>
 #include <vector>
 
@@ -28,14 +30,20 @@ namespace {
 // One trained model shared across all tests in this file. Training used to
 // dominate the whole suite's wall-clock (~11 s), so the trained parameters
 // and NLL history are persisted as a checked-in fixture
-// (tests/fixtures/e2e_flow.*) that SetUpTestSuite loads in milliseconds;
-// deleting the fixture files re-trains and re-writes them on the next run.
+// (tests/fixtures/e2e_flow.*) that SetUpTestSuite loads in milliseconds.
+// Deleting both fixture files re-trains and re-writes them on the next run;
+// a fixture that is present but fails to load fails every test instead, so
+// the checked-in model (also read by the golden numerics suite and the
+// benchmark) is never silently replaced.
 class EndToEndTest : public ::testing::Test {
  protected:
-  static bool load_fixture(const std::string& checkpoint_path,
+  // Throws with the reason when either file is missing or malformed.
+  static void load_fixture(const std::string& checkpoint_path,
                            const std::string& history_path) {
     std::ifstream history(history_path);
-    if (!history.good()) return false;
+    if (!history.good()) {
+      throw std::runtime_error("cannot open " + history_path);
+    }
     flow::TrainResult loaded;
     std::string line;
     while (std::getline(history, line)) {
@@ -45,17 +53,17 @@ class EndToEndTest : public ::testing::Test {
       std::istringstream fields(line);
       fields >> stats.epoch >> comma >> stats.train_nll >> comma >>
           stats.validation_nll;
-      if (!fields) return false;
+      if (!fields) {
+        throw std::runtime_error(history_path + ": malformed line '" + line +
+                                 "'");
+      }
       loaded.history.push_back(stats);
     }
-    if (loaded.history.empty()) return false;
-    try {
-      model_->load(checkpoint_path);  // validates names and shapes
-    } catch (const std::exception&) {
-      return false;
+    if (loaded.history.empty()) {
+      throw std::runtime_error(history_path + " holds no epochs");
     }
+    model_->load(checkpoint_path);  // validates names and shapes
     *result_ = std::move(loaded);
-    return true;
   }
 
   static void save_fixture(const std::string& checkpoint_path,
@@ -93,7 +101,15 @@ class EndToEndTest : public ::testing::Test {
     const std::string fixture_dir = PASSFLOW_TEST_FIXTURE_DIR;
     const std::string checkpoint_path = fixture_dir + "/e2e_flow.ckpt";
     const std::string history_path = fixture_dir + "/e2e_flow_history.csv";
-    if (load_fixture(checkpoint_path, history_path)) return;
+    if (std::ifstream(checkpoint_path).good() ||
+        std::ifstream(history_path).good()) {
+      try {
+        load_fixture(checkpoint_path, history_path);
+      } catch (const std::exception& e) {
+        load_error_ = new std::string(e.what());
+      }
+      return;
+    }
 
     flow::TrainConfig train_config;
     train_config.epochs = 12;
@@ -105,7 +121,15 @@ class EndToEndTest : public ::testing::Test {
     save_fixture(checkpoint_path, history_path);
   }
 
+  void SetUp() override {
+    if (load_error_ != nullptr) {
+      FAIL() << "tests/fixtures/e2e_flow fixture failed to load: "
+             << *load_error_;
+    }
+  }
+
   static void TearDownTestSuite() {
+    delete load_error_;
     delete result_;
     delete model_;
     delete split_;
@@ -118,6 +142,7 @@ class EndToEndTest : public ::testing::Test {
   static data::DatasetSplit* split_;
   static flow::FlowModel* model_;
   static flow::TrainResult* result_;
+  static std::string* load_error_;
 };
 
 testing::QuietLogs* EndToEndTest::quiet_ = nullptr;
@@ -125,6 +150,7 @@ data::Encoder* EndToEndTest::encoder_ = nullptr;
 data::DatasetSplit* EndToEndTest::split_ = nullptr;
 flow::FlowModel* EndToEndTest::model_ = nullptr;
 flow::TrainResult* EndToEndTest::result_ = nullptr;
+std::string* EndToEndTest::load_error_ = nullptr;
 
 TEST_F(EndToEndTest, TrainingImprovedNll) {
   ASSERT_GE(result_->history.size(), 2u);

@@ -103,7 +103,14 @@ INSTANTIATE_TEST_SUITE_P(
         std::make_tuple(512, 8, 4),            // tall and skinny
         std::make_tuple(4, 8, 512),            // wide and flat
         std::make_tuple(129, 385, 17),         // one past MC/KC block edges
-        std::make_tuple(256, 256, 256)));      // bench shape
+        std::make_tuple(256, 256, 256),        // bench shape
+        // Edges of the register tiles (8 x 32 on AVX-512, else 4 x 16).
+        std::make_tuple(1, 256, 10),           // 1-row query, s/t head
+        std::make_tuple(7, 256, 32),           // one row short of 8 x 32
+        std::make_tuple(8, 256, 32),           // one full 8 x 32 tile
+        std::make_tuple(9, 33, 33),            // one past both 8 x 32 edges
+        std::make_tuple(16, 96, 96),           // fixture width, whole tiles
+        std::make_tuple(512, 256, 10)));       // paper s/t head, n < 16
 
 TEST(GemmBackend, BlockedIsDeterministic) {
   util::Rng rng(42);
@@ -115,6 +122,46 @@ TEST(GemmBackend, BlockedIsDeterministic) {
   ASSERT_EQ(out1.size(), out2.size());
   EXPECT_EQ(0, std::memcmp(out1.data(), out2.data(),
                            out1.size() * sizeof(float)));
+}
+
+// A row's result must not depend on how many rows share its product: the
+// blocked backend zero-pads rows to whole register tiles, and a lone row
+// has to get the bits it gets among others. k = 400 crosses the 384-deep k
+// block.
+TEST(GemmBackend, BlockedRowsEqualRowsComputedAlone) {
+  constexpr std::size_t kK = 400;
+  constexpr std::size_t kN = 40;
+  for (const std::size_t rows : {9, 16, 64}) {
+    SCOPED_TRACE(::testing::Message() << rows << " rows");
+    util::Rng rng(500 + rows);
+    const Matrix a = random_matrix(rows, kK, rng);
+    const Matrix b = random_matrix(kK, kN, rng);
+    const Matrix bt = random_matrix(kN, kK, rng);  // used as b^T
+    Matrix at(kK, rows);                           // used as a^T
+    for (std::size_t r = 0; r < rows; ++r) {
+      for (std::size_t p = 0; p < kK; ++p) at(p, r) = a(r, p);
+    }
+    Matrix nn, tn, nt;
+    gemm::gemm_nn(gemm::Backend::kBlocked, a, b, nn);
+    gemm::gemm_tn(gemm::Backend::kBlocked, at, b, tn);
+    gemm::gemm_nt(gemm::Backend::kBlocked, a, bt, nt);
+    for (std::size_t r = 0; r < rows; ++r) {
+      Matrix row(1, kK);
+      std::memcpy(row.data(), a.row(r), kK * sizeof(float));
+      Matrix row_t(kK, 1);
+      for (std::size_t p = 0; p < kK; ++p) row_t(p, 0) = a(r, p);
+      Matrix nn1, tn1, nt1;
+      gemm::gemm_nn(gemm::Backend::kBlocked, row, b, nn1);
+      gemm::gemm_tn(gemm::Backend::kBlocked, row_t, b, tn1);
+      gemm::gemm_nt(gemm::Backend::kBlocked, row, bt, nt1);
+      ASSERT_EQ(0, std::memcmp(nn.row(r), nn1.data(), kN * sizeof(float)))
+          << "gemm_nn row " << r;
+      ASSERT_EQ(0, std::memcmp(tn.row(r), tn1.data(), kN * sizeof(float)))
+          << "gemm_tn row " << r;
+      ASSERT_EQ(0, std::memcmp(nt.row(r), nt1.data(), kN * sizeof(float)))
+          << "gemm_nt row " << r;
+    }
+  }
 }
 
 TEST(GemmBackend, OutStorageIsReusedAcrossCalls) {
