@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <tuple>
 
 #include "nn/gradcheck.hpp"
@@ -182,21 +183,27 @@ TEST(Coupling, BackwardGradientsMatchNumeric) {
       << input_result.max_abs_error;
 }
 
+// The inference forward must give the training forward's bits: the same
+// products, bias adds, ReLUs and skips in the same order. Hidden 40 leaves
+// a partial 32-column panel and dim 6 a 12-column [s | t] head; the row
+// counts straddle the 8-row register tile and the 128-row cache block.
 TEST(Coupling, ForwardInferenceMatchesTrainingForward) {
   util::Rng rng(6);
-  AffineCoupling coupling(6, 16, 2, make_mask({MaskScheme::kCharRun, 2}, 6),
+  AffineCoupling coupling(6, 40, 2, make_mask({MaskScheme::kCharRun, 2}, 6),
                           rng);
   randomize_parameters(coupling, rng);
-  const nn::Matrix x = random_matrix(5, 6, rng);
-  std::vector<double> ld_train(5, 0.0);
-  std::vector<double> ld_inf(5, 0.0);
-  const nn::Matrix z_train = coupling.forward(x, ld_train);
-  const nn::Matrix z_inf = coupling.forward_inference(x, &ld_inf);
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    EXPECT_FLOAT_EQ(z_train.data()[i], z_inf.data()[i]);
-  }
-  for (std::size_t r = 0; r < 5; ++r) {
-    EXPECT_DOUBLE_EQ(ld_train[r], ld_inf[r]);
+  for (const std::size_t rows : {1, 7, 8, 9, 129}) {
+    SCOPED_TRACE(::testing::Message() << rows << " rows");
+    const nn::Matrix x = random_matrix(rows, 6, rng);
+    std::vector<double> ld_train(rows, 0.0);
+    std::vector<double> ld_inf(rows, 0.0);
+    const nn::Matrix z_train = coupling.forward(x, ld_train);
+    const nn::Matrix z_inf = coupling.forward_inference(x, &ld_inf);
+    ASSERT_TRUE(z_train.same_shape(z_inf));
+    EXPECT_EQ(0, std::memcmp(z_train.data(), z_inf.data(),
+                             z_train.size() * sizeof(float)));
+    EXPECT_EQ(0, std::memcmp(ld_train.data(), ld_inf.data(),
+                             rows * sizeof(double)));
   }
 }
 

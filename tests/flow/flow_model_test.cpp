@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "nn/gradcheck.hpp"
 #include "nn/ops.hpp"
@@ -65,6 +66,35 @@ TEST_P(FlowDepthTest, InverseUndoesForwardAtAnyDepth) {
 
 INSTANTIATE_TEST_SUITE_P(Depths, FlowDepthTest,
                          ::testing::Values(1, 2, 4, 8, 18));
+
+// The inference forward gives the training forward's bits through a whole
+// stack, at row counts around the 8-row register tile and the 128-row
+// cache block, with a partial 32-column panel (hidden 40).
+TEST(FlowModel, ForwardInferenceMatchesTrainingForwardBitwise) {
+  FlowConfig config;
+  config.dim = 6;
+  config.num_couplings = 3;
+  config.hidden = 40;
+  config.residual_blocks = 2;
+  util::Rng rng(14);
+  FlowModel model(config, rng);
+  randomize_parameters(model, rng);
+  for (const std::size_t rows : {1, 7, 8, 9, 129}) {
+    SCOPED_TRACE(::testing::Message() << rows << " rows");
+    const nn::Matrix x = random_matrix(rows, config.dim, rng);
+    std::vector<double> ld_train;
+    std::vector<double> ld_inf;
+    const nn::Matrix z_train = model.forward(x, ld_train);
+    const nn::Matrix z_inf = model.forward_inference(x, &ld_inf);
+    ASSERT_TRUE(z_train.same_shape(z_inf));
+    ASSERT_EQ(ld_train.size(), rows);
+    ASSERT_EQ(ld_inf.size(), rows);
+    EXPECT_EQ(0, std::memcmp(z_train.data(), z_inf.data(),
+                             z_train.size() * sizeof(float)));
+    EXPECT_EQ(0, std::memcmp(ld_train.data(), ld_inf.data(),
+                             rows * sizeof(double)));
+  }
+}
 
 TEST(FlowModel, RoundTripFromLatentSide) {
   util::Rng rng(3);

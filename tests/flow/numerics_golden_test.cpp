@@ -2,18 +2,13 @@
 // flow's inverse and log p(x), so a kernel change that moves any result
 // fails here instead of silently training or sampling a different model.
 //
-// Bits are pinned only where they are reproducible:
-// - GEMM digests are checked bitwise when the backend is `blocked` and the
-//   dispatched kernel uses FMA (gemm::kernel_name() is "avx512" or "avx2").
-//   Every FMA kernel runs one fused multiply-add chain per output element,
-//   in ascending k, split at the 384-deep k block, so they agree bit for
-//   bit. Other backends and the portable kernel are checked against the
-//   naive product at 1e-4 relative.
-// - Flow digests also pass through glibc's expf/exp/log, which pick an FMA
-//   variant at load time. They are bitwise only where the glibc version
-//   matches the capture as well. Every build checks stored fp32 rows at
-//   kFlowTolerance, and prints the digests it computed when they are not
-//   pinned or do not match.
+// Bits are pinned only where they are reproducible (tests/test_support.hpp):
+// - GEMM digests are checked bitwise where gemm_bits_pinned(). Other
+//   backends and the portable kernel are checked against the naive product
+//   at 1e-4 relative.
+// - Flow digests are checked bitwise where flow_bits_pinned(). Every build
+//   checks stored fp32 rows at kFlowTolerance, and prints the digests it
+//   computed when they are not pinned or do not match.
 //
 // Every digest was captured in a Release build on an AVX-512 host with
 // glibc 2.36. A change to any of them needs a CHANGES.md line giving the
@@ -29,41 +24,19 @@
 #include <string>
 #include <vector>
 
-#if defined(__GLIBC__)
-#include <gnu/libc-version.h>
-#endif
-
 #include "flow/flow_model.hpp"
 #include "nn/gemm.hpp"
 #include "nn/ops.hpp"
+#include "test_support.hpp"
 #include "util/hash.hpp"
 #include "util/rng.hpp"
 
 namespace passflow {
 namespace {
 
-constexpr const char* kCaptureLibc = "2.36";
-
-bool fma_kernel() {
-  return std::strcmp(nn::gemm::kernel_name(), "portable") != 0;
-}
-
-bool gemm_bits_pinned() {
-  return nn::gemm::active_backend() == nn::gemm::Backend::kBlocked &&
-         fma_kernel();
-}
-
-std::string libc_version() {
-#if defined(__GLIBC__)
-  return gnu_get_libc_version();
-#else
-  return "";
-#endif
-}
-
-bool flow_bits_pinned() {
-  return gemm_bits_pinned() && libc_version() == kCaptureLibc;
-}
+using testing::flow_bits_pinned;
+using testing::gemm_bits_pinned;
+using testing::libc_version;
 
 // Relative tolerance of the stored flow rows. Measured against the FMA
 // result on both models, over every row of the batch: the naive and

@@ -3,6 +3,8 @@
 // seconds).
 #include <gtest/gtest.h>
 
+#include <cinttypes>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -23,6 +25,7 @@
 #include "guessing/static_sampler.hpp"
 #include "test_support.hpp"
 #include "util/checkpoint.hpp"
+#include "util/hash.hpp"
 
 namespace passflow {
 namespace {
@@ -231,6 +234,95 @@ TEST_F(EndToEndTest, DynamicBeatsStaticOnSameBudget) {
 
   // The paper's core claim at every budget (Table II): DS >= static.
   EXPECT_GE(dynamic_result.final().matched, static_result.final().matched);
+}
+
+// Forwards a sampler's guesses and match feedback unchanged, and digests
+// every guess in the order the session receives it.
+class DigestingGenerator : public guessing::GuessGenerator {
+ public:
+  explicit DigestingGenerator(guessing::GuessGenerator& inner)
+      : inner_(inner) {}
+
+  void generate(std::size_t n, std::vector<std::string>& out) override {
+    const std::size_t first = out.size();
+    inner_.generate(n, out);
+    for (std::size_t i = first; i < out.size(); ++i) {
+      digest_ = util::hash64(out[i], digest_);
+    }
+  }
+  void on_match(std::size_t index_in_batch,
+                const std::string& password) override {
+    inner_.on_match(index_in_batch, password);
+  }
+  bool uses_match_feedback() const override {
+    return inner_.uses_match_feedback();
+  }
+  std::string name() const override { return inner_.name(); }
+
+  std::uint64_t digest() const { return digest_; }
+
+ private:
+  guessing::GuessGenerator& inner_;
+  std::uint64_t digest_ = 0;
+};
+
+struct GuessStream {
+  std::size_t matched = 0;
+  std::size_t unique = 0;
+  std::uint64_t digest = 0;
+};
+
+// Pins what the trained fixture guesses: a StaticSampler and a Dynamic+GS
+// sampler (Table I parameters), 30000 guesses each against the fresh target
+// set. Where the flow's bits are reproducible (flow_bits_pinned()), the
+// matched and unique counts and the digest of the whole guess stream must
+// equal the stored values, so a faster path cannot quietly guess
+// differently. Elsewhere the test prints what it computed and checks only
+// the inequalities of the tests above.
+TEST_F(EndToEndTest, GuessStreamsPinned) {
+  guessing::HashSetMatcher matcher(fresh_target_set());
+  const std::size_t budget = 30000;
+  const auto attack = [&](guessing::GuessGenerator& sampler) {
+    DigestingGenerator digesting(sampler);
+    const auto result = run_attack(digesting, matcher, budget);
+    EXPECT_EQ(result.final().guesses, budget);
+    return GuessStream{result.final().matched, result.final().unique,
+                       digesting.digest()};
+  };
+
+  guessing::StaticSamplerConfig s_config;
+  s_config.seed = 1901;
+  guessing::StaticSampler static_sampler(*model_, *encoder_, s_config);
+  const GuessStream got_static = attack(static_sampler);
+
+  guessing::DynamicSamplerConfig d_config =
+      guessing::table1_parameters(budget);
+  d_config.smoothing.enabled = true;
+  d_config.seed = 1903;
+  guessing::DynamicSampler dynamic_sampler(*model_, *encoder_, d_config);
+  const GuessStream got_dynamic = attack(dynamic_sampler);
+
+  const GuessStream want_static{8, 27571, 0xc1a73d113304364fULL};
+  const GuessStream want_dynamic{68, 22362, 0x19725a84da1e5174ULL};
+  if (testing::flow_bits_pinned()) {
+    EXPECT_EQ(got_static.matched, want_static.matched);
+    EXPECT_EQ(got_static.unique, want_static.unique);
+    EXPECT_EQ(got_static.digest, want_static.digest)
+        << "computed 0x" << std::hex << got_static.digest;
+    EXPECT_EQ(got_dynamic.matched, want_dynamic.matched);
+    EXPECT_EQ(got_dynamic.unique, want_dynamic.unique);
+    EXPECT_EQ(got_dynamic.digest, want_dynamic.digest)
+        << "computed 0x" << std::hex << got_dynamic.digest;
+    return;
+  }
+  std::printf("kernel %s, glibc %s: guess streams not pinned here\n",
+              nn::gemm::kernel_name(), testing::libc_version().c_str());
+  for (const auto* stream : {&got_static, &got_dynamic}) {
+    std::printf("  matched %zu, unique %zu, digest 0x%016" PRIx64 "\n",
+                stream->matched, stream->unique, stream->digest);
+  }
+  EXPECT_GE(got_static.matched, 3u);
+  EXPECT_GE(got_dynamic.matched, got_static.matched);
 }
 
 TEST_F(EndToEndTest, GaussianSmoothingIncreasesUniqueGuesses) {

@@ -2,15 +2,48 @@
 // milliseconds and a deterministic toy corpus.
 #pragma once
 
+#include <cstring>
 #include <string>
 #include <vector>
+
+#if defined(__GLIBC__)
+#include <gnu/libc-version.h>
+#endif
 
 #include "data/encoder.hpp"
 #include "flow/flow_model.hpp"
 #include "flow/trainer.hpp"
+#include "nn/gemm.hpp"
 #include "util/logging.hpp"
 
 namespace passflow::testing {
+
+// Where stored bits are exact. Golden values are captured in a Release
+// build on an AVX-512 host with glibc 2.36.
+//
+// GEMM products are bitwise when the backend is `blocked` and the kernel
+// uses FMA (nn::gemm::kernel_name() is "avx512" or "avx2"): every FMA
+// kernel runs one fused multiply-add chain per output element, in
+// ascending k, split at the 384-deep k block, so they agree bit for bit.
+inline bool gemm_bits_pinned() {
+  return nn::gemm::active_backend() == nn::gemm::Backend::kBlocked &&
+         std::strcmp(nn::gemm::kernel_name(), "portable") != 0;
+}
+
+inline std::string libc_version() {
+#if defined(__GLIBC__)
+  return gnu_get_libc_version();
+#else
+  return "";
+#endif
+}
+
+// Anything computed through the flow also passes through glibc's
+// expf/exp/log, which pick an FMA variant at load time, so it is bitwise
+// only where the glibc version matches the capture as well.
+inline bool flow_bits_pinned() {
+  return gemm_bits_pinned() && libc_version() == "2.36";
+}
 
 // A tiny flow (few couplings, narrow nets) over the compact alphabet.
 inline flow::FlowConfig tiny_flow_config(std::size_t dim = 6) {
