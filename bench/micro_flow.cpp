@@ -3,9 +3,15 @@
 // default (8x96x2), plus encoder and sampler throughput, the GEMM backend
 // size sweep and the train-step (serial vs pooled) comparison behind
 // BENCH_gemm.json. The GEMM and flow benches are labeled with the GEMM
-// kernel this host dispatches to (nn::gemm::kernel_name()).
+// kernel this host dispatches to (nn::gemm::kernel_name()). The serial flow
+// benches also count the heap allocations and bytes of one pass, through a
+// counting global operator new; those counts repeat exactly run to run.
 #include <benchmark/benchmark.h>
 
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
 #include <string>
 
 #ifdef _OPENMP
@@ -23,7 +29,50 @@
 
 namespace {
 
+// Every allocation through the global operator new, counted for the
+// allocs_per_pass and bytes_per_pass counters.
+std::atomic<std::uint64_t> g_heap_allocs{0};
+std::atomic<std::uint64_t> g_heap_bytes{0};
+
+void* counted_alloc(std::size_t size) {
+  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
+  g_heap_bytes.fetch_add(size, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+
+}  // namespace
+
+void* operator new(std::size_t size) { return counted_alloc(size); }
+void* operator new[](std::size_t size) { return counted_alloc(size); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+
+namespace {
+
 namespace pf = passflow;
+
+struct HeapTally {
+  std::uint64_t allocs;
+  std::uint64_t bytes;
+};
+
+HeapTally heap_tally() {
+  return {g_heap_allocs.load(std::memory_order_relaxed),
+          g_heap_bytes.load(std::memory_order_relaxed)};
+}
+
+// Reports the heap traffic since `before`, per iteration of the timed loop.
+void report_heap_per_pass(benchmark::State& state, const HeapTally& before) {
+  const HeapTally after = heap_tally();
+  const double passes = static_cast<double>(state.iterations());
+  state.counters["allocs_per_pass"] =
+      static_cast<double>(after.allocs - before.allocs) / passes;
+  state.counters["bytes_per_pass"] =
+      static_cast<double>(after.bytes - before.bytes) / passes;
+}
 
 pf::nn::Matrix random_batch(std::size_t rows, std::size_t cols,
                             std::uint64_t seed) {
@@ -77,10 +126,12 @@ void BM_FlowForward(benchmark::State& state) {
       static_cast<std::size_t>(state.range(2)), 10, 2);
   {
     const SerialOmp serial;
+    const HeapTally before = heap_tally();
     for (auto _ : state) {
       const auto z = model.forward_inference(x);
       benchmark::DoNotOptimize(z.data());
     }
+    report_heap_per_pass(state, before);
   }
   state.SetLabel(pf::nn::gemm::kernel_name());
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
@@ -89,7 +140,8 @@ void BM_FlowForward(benchmark::State& state) {
 BENCHMARK(BM_FlowForward)
     ->Args({8, 96, 2048})    // bench default architecture
     ->Args({18, 256, 2048})  // paper architecture (§IV-D)
-    ->Args({18, 256, 512});
+    ->Args({18, 256, 512})
+    ->Args({18, 256, 1});    // one strength query's candidate
 
 void BM_FlowInverse(benchmark::State& state) {
   pf::util::Rng rng(3);
@@ -101,10 +153,12 @@ void BM_FlowInverse(benchmark::State& state) {
       static_cast<std::size_t>(state.range(2)), 10, 4);
   {
     const SerialOmp serial;
+    const HeapTally before = heap_tally();
     for (auto _ : state) {
       const auto x = model.inverse(z);
       benchmark::DoNotOptimize(x.data());
     }
+    report_heap_per_pass(state, before);
   }
   state.SetLabel(pf::nn::gemm::kernel_name());
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
