@@ -24,15 +24,13 @@ void apply_mask_into(const nn::Matrix& x, const std::vector<float>& mask,
   }
 }
 
-nn::Matrix apply_mask(const nn::Matrix& x, const std::vector<float>& mask) {
-  nn::Matrix out;
-  apply_mask_into(x, mask, out);
-  return out;
+// s = scale * tanh(s_raw), the Real NVP bounded-scale transform. Shared by
+// the training and inference paths so the formula lives in one place.
+float bounded_scale(float scale, float s_raw) {
+  return scale * std::tanh(s_raw);
 }
 
-// s = scale * tanh(s_raw), the Real NVP bounded-scale transform. Shared by
-// the training and inference paths so the formula lives in one place; `s`
-// must not alias `s_raw`.
+// Training form over a whole matrix; `s` must not alias `s_raw`.
 void bounded_scale_into(const nn::Matrix& s_raw, const nn::Matrix& scale_vec,
                         nn::Matrix& s) {
   s.resize(s_raw.rows(), s_raw.cols());
@@ -41,7 +39,7 @@ void bounded_scale_into(const nn::Matrix& s_raw, const nn::Matrix& scale_vec,
     const float* raw = s_raw.row(r);
     float* sr = s.row(r);
     for (std::size_t c = 0; c < s_raw.cols(); ++c) {
-      sr[c] = scale[c] * std::tanh(raw[c]);
+      sr[c] = bounded_scale(scale[c], raw[c]);
     }
   }
 }
@@ -58,16 +56,10 @@ AffineCoupling::AffineCoupling(std::size_t dim, std::size_t hidden,
   }
 }
 
-// Inference-only helper: allocates per call so concurrent callers never
-// share state. The training path (forward_into) uses member workspaces.
-AffineCoupling::STResult AffineCoupling::compute_st(
-    const nn::Matrix& masked_input) const {
-  nn::ResNetST::Output out = net_.forward_inference(masked_input);
-  STResult result;
-  result.s_raw = std::move(out.s_raw);
-  result.t = std::move(out.t);
-  bounded_scale_into(result.s_raw, s_scale_.value, result.s);
-  return result;
+void AffineCoupling::condition(const nn::Matrix& input,
+                               Scratch& scratch) const {
+  apply_mask_into(input, mask_, scratch.masked);
+  net_.forward_inference(scratch.masked, scratch.net);
 }
 
 nn::Matrix AffineCoupling::forward(const nn::Matrix& x,
@@ -105,46 +97,65 @@ void AffineCoupling::forward_into(const nn::Matrix& x,
   }
 }
 
-nn::Matrix AffineCoupling::forward_inference(const nn::Matrix& x,
-                                             std::vector<double>* log_det) const {
-  STResult st = compute_st(apply_mask(x, mask_));
-  nn::Matrix z(x.rows(), x.cols());
+void AffineCoupling::forward_inference(const nn::Matrix& x,
+                                       std::vector<double>* log_det,
+                                       Scratch& scratch, nn::Matrix& z) const {
+  condition(x, scratch);
+  const std::size_t dim = x.cols();
+  const float* scale = s_scale_.value.data();
+  z.resize(x.rows(), dim);
   for (std::size_t r = 0; r < x.rows(); ++r) {
     const float* xr = x.row(r);
-    const float* sr = st.s.row(r);
-    const float* tr = st.t.row(r);
+    const float* s_raw = scratch.net.st.row(r);
+    const float* tr = s_raw + dim;
     float* zr = z.row(r);
     double ld = 0.0;
-    for (std::size_t c = 0; c < x.cols(); ++c) {
+    for (std::size_t c = 0; c < dim; ++c) {
       const float b = mask_[c];
       const float cb = 1.0f - b;
-      zr[c] = b * xr[c] + cb * (xr[c] * std::exp(sr[c]) + tr[c]);
-      ld += static_cast<double>(cb) * sr[c];
+      const float s = bounded_scale(scale[c], s_raw[c]);
+      zr[c] = b * xr[c] + cb * (xr[c] * std::exp(s) + tr[c]);
+      ld += static_cast<double>(cb) * s;
     }
     if (log_det) (*log_det)[r] += ld;
   }
+}
+
+void AffineCoupling::inverse(const nn::Matrix& z, Scratch& scratch,
+                             nn::Matrix& x) const {
+  // The conditioning input b.z equals b.x because masked coordinates pass
+  // through unchanged, so s and t are recoverable from z alone.
+  condition(z, scratch);
+  const std::size_t dim = z.cols();
+  const float* scale = s_scale_.value.data();
+  x.resize(z.rows(), dim);
+  for (std::size_t r = 0; r < z.rows(); ++r) {
+    const float* zr = z.row(r);
+    const float* s_raw = scratch.net.st.row(r);
+    const float* tr = s_raw + dim;
+    float* xr = x.row(r);
+    for (std::size_t c = 0; c < dim; ++c) {
+      if (mask_[c] > 0.5f) {
+        xr[c] = zr[c];
+      } else {
+        xr[c] = (zr[c] - tr[c]) * std::exp(-bounded_scale(scale[c], s_raw[c]));
+      }
+    }
+  }
+}
+
+nn::Matrix AffineCoupling::forward_inference(const nn::Matrix& x,
+                                             std::vector<double>* log_det) const {
+  Scratch scratch;
+  nn::Matrix z;
+  forward_inference(x, log_det, scratch, z);
   return z;
 }
 
 nn::Matrix AffineCoupling::inverse(const nn::Matrix& z) const {
-  // The conditioning input b.z equals b.x because masked coordinates pass
-  // through unchanged, so s and t are recoverable from z alone.
-  STResult st = compute_st(apply_mask(z, mask_));
-  nn::Matrix x(z.rows(), z.cols());
-  for (std::size_t r = 0; r < z.rows(); ++r) {
-    const float* zr = z.row(r);
-    const float* sr = st.s.row(r);
-    const float* tr = st.t.row(r);
-    float* xr = x.row(r);
-    for (std::size_t c = 0; c < z.cols(); ++c) {
-      const float b = mask_[c];
-      if (b > 0.5f) {
-        xr[c] = zr[c];
-      } else {
-        xr[c] = (zr[c] - tr[c]) * std::exp(-sr[c]);
-      }
-    }
-  }
+  Scratch scratch;
+  nn::Matrix x;
+  inverse(z, scratch, x);
   return x;
 }
 

@@ -38,11 +38,27 @@ class AffineCoupling {
   void forward_into(const nn::Matrix& x, std::vector<double>& log_det,
                     nn::Matrix& z);
 
-  // Inference forward (no caching, no gradients).
+  // Caller-owned buffers for one inference pass. Every coupling of a flow
+  // has the same shapes, so one scratch serves a whole pass and a warm pass
+  // does not allocate.
+  struct Scratch {
+    nn::Matrix masked;  // b . input, the s/t net's input
+    nn::ResNetST::Scratch net;
+  };
+
+  // Inference forward x -> z into `z` (no caching, no gradients); adds each
+  // sample's log-det contribution into *log_det when non-null. Const and
+  // cache-free, so concurrent calls on one layer are safe when each caller
+  // owns its scratch. `z` must not alias x.
+  void forward_inference(const nn::Matrix& x, std::vector<double>* log_det,
+                         Scratch& scratch, nn::Matrix& z) const;
+  // Exact inverse z -> x into `x` (inference only; flows never backprop the
+  // inverse). Same contract as above; `x` must not alias z.
+  void inverse(const nn::Matrix& z, Scratch& scratch, nn::Matrix& x) const;
+
+  // The same on a scratch of their own.
   nn::Matrix forward_inference(const nn::Matrix& x,
                                std::vector<double>* log_det = nullptr) const;
-
-  // Exact inverse z -> x (inference only; flows never backprop the inverse).
   nn::Matrix inverse(const nn::Matrix& z) const;
 
   // Backward for loss terms L(z, log_det): takes dL/dz and dL/d(log_det) per
@@ -56,16 +72,12 @@ class AffineCoupling {
   std::vector<nn::Param*> parameters();
 
  private:
-  struct STResult {
-    nn::Matrix s;      // bounded scale = s_scale * tanh(s_raw)
-    nn::Matrix s_raw;  // cached pre-tanh logits (backward needs them)
-    nn::Matrix t;
-  };
-  STResult compute_st(const nn::Matrix& masked_input) const;
+  // Runs the s/t net on b . input: s_raw lands in columns [0, dim) of
+  // scratch.net.st and t in [dim, 2*dim).
+  void condition(const nn::Matrix& input, Scratch& scratch) const;
 
   std::vector<float> mask_;  // b
-  mutable nn::ResNetST net_; // mutable: forward_inference caches nothing but
-                             // must call non-const net entry points
+  nn::ResNetST net_;
   nn::Param s_scale_;        // learned per-dim bound on the scale (1 x dim)
 
   // Training-forward caches.
@@ -73,8 +85,8 @@ class AffineCoupling {
   nn::Matrix cached_s_;
   nn::Matrix cached_s_raw_;
 
-  // Training-only workspaces (never touched by the const inference paths,
-  // which must stay safe under concurrent calls).
+  // Training-only workspaces. The inference paths are const, so the
+  // compiler keeps them from touching these or the caches above.
   nn::Matrix masked_ws_;
   nn::Matrix t_ws_;
   nn::Matrix grad_s_ws_;

@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "nn/ops.hpp"
@@ -50,20 +51,29 @@ nn::Matrix FlowModel::forward(const nn::Matrix& x,
   return h;
 }
 
+// Both inference passes give every coupling the pass's one scratch and
+// ping-pong the activations between two matrices, so a pass allocates a
+// fixed handful of buffers whatever the depth.
 nn::Matrix FlowModel::forward_inference(const nn::Matrix& x,
                                         std::vector<double>* log_det) const {
   if (log_det) log_det->assign(x.rows(), 0.0);
+  AffineCoupling::Scratch scratch;
   nn::Matrix h = x;
+  nn::Matrix next;
   for (const auto& coupling : couplings_) {
-    h = coupling->forward_inference(h, log_det);
+    coupling->forward_inference(h, log_det, scratch, next);
+    std::swap(h, next);
   }
   return h;
 }
 
 nn::Matrix FlowModel::inverse(const nn::Matrix& z) const {
+  AffineCoupling::Scratch scratch;
   nn::Matrix h = z;
+  nn::Matrix next;
   for (auto it = couplings_.rbegin(); it != couplings_.rend(); ++it) {
-    h = (*it)->inverse(h);
+    (*it)->inverse(h, scratch, next);
+    std::swap(h, next);
   }
   return h;
 }

@@ -33,18 +33,20 @@ class FlowModel {
 
   // Training forward x -> z; fills per-sample log|det J| (overwritten).
   nn::Matrix forward(const nn::Matrix& x, std::vector<double>& log_det);
-  // Inference forward without caching.
+  // Inference forward without caching. Each call owns one scratch that
+  // every coupling reuses, so a pass makes a fixed handful of allocations
+  // whatever the depth, and never touches the training workspaces.
   nn::Matrix forward_inference(const nn::Matrix& x,
                                std::vector<double>* log_det = nullptr) const;
-  // Exact inverse z -> x.
+  // Exact inverse z -> x, on a scratch of its own like forward_inference.
   nn::Matrix inverse(const nn::Matrix& z) const;
 
   // Batched-parallel inference: rows are split into contiguous chunks, one
   // per pool worker, and each chunk runs the serial path. Both the forward
   // and inverse maps are row-independent, so results are bitwise identical
-  // to the serial overloads. Inference state is const (no caches), making
-  // concurrent calls on one model safe; a null/singleton pool or a small
-  // batch falls back to the serial path.
+  // to the serial overloads. Inference state is const (no caches) and each
+  // chunk owns its scratch, making concurrent calls on one model safe; a
+  // null/singleton pool or a small batch falls back to the serial path.
   nn::Matrix forward_inference(const nn::Matrix& x, std::vector<double>* log_det,
                                util::ThreadPool* pool) const;
   nn::Matrix inverse(const nn::Matrix& z, util::ThreadPool* pool) const;
@@ -53,11 +55,11 @@ class FlowModel {
   std::vector<double> log_prob(const nn::Matrix& x) const;
 
   // Per-sample log p(x) over a batch, optionally row-chunked across the
-  // pool. Built on forward_inference (allocation-local, never the training
-  // workspaces), so concurrent calls on one model are safe and every row's
-  // value is bitwise identical whether scored alone, inside any batch, or
-  // with any pool size — the guarantee the serving layer's micro-batching
-  // relies on. log_prob() is the serial special case.
+  // pool. Built on forward_inference (a scratch per call or chunk, never
+  // the training workspaces), so concurrent calls on one model are safe and
+  // every row's value is bitwise identical whether scored alone, inside any
+  // batch, or with any pool size — the guarantee the serving layer's
+  // micro-batching relies on. log_prob() is the serial special case.
   std::vector<double> log_prob_batch(const nn::Matrix& x,
                                      util::ThreadPool* pool = nullptr) const;
 

@@ -24,11 +24,13 @@ class Activation : public Module {
   void forward_inference_into(const Matrix& input, Matrix& out) override;
   std::vector<Param*> parameters() override { return {}; }
 
+  // The activation alone, without caching; out may alias input (in place).
+  // Touches no member state, so concurrent calls are safe.
+  void apply_into(const Matrix& input, Matrix& out) const;
+
   ActKind kind() const { return kind_; }
 
  private:
-  void apply_into(const Matrix& input, Matrix& out) const;
-
   ActKind kind_;
   float leak_;
   Matrix cached_input_;

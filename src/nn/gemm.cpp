@@ -21,11 +21,13 @@ namespace {
 
 // ---------------------------------------------------------------- blocked
 //
-// GotoBLAS-style blocking. A register tile computes an MR x NR block of C
-// held entirely in registers while streaming one packed column of A
-// (MR floats) and one packed row of B (NR floats) per k step. Panels are
-// zero-padded to MR/NR multiples so the tile never branches on tails; the
-// write-back clips to the valid region instead.
+// GotoBLAS-style blocking, with only B packed. A register tile computes an
+// MR x NR block of C held entirely in registers while streaming MR elements
+// of A, read where they lie through a row stride and a k stride, and one
+// packed row of B (NR floats) per k step. B panels are zero-padded to NR
+// multiples, and a tile's rows past the last valid one re-read that row, so
+// the tile never branches on tails; the write-back clips to the valid
+// region instead.
 //
 // Every tile computes each output element the same way: a multiply-add
 // chain over the k block in ascending k, starting from zero, then stored
@@ -43,13 +45,9 @@ constexpr std::size_t round_up(std::size_t v, std::size_t q) {
   return (v + q - 1) / q * q;
 }
 
-// Pack buffers are thread_local so repeated GEMM calls (every layer of
-// every training step) reuse one allocation per thread, and so the OpenMP
-// workers inside the ic loop each pack into private storage.
-std::vector<float>& tls_apack() {
-  static thread_local std::vector<float> buf;
-  return buf;
-}
+// The B pack buffer is thread_local so repeated GEMM calls (every layer of
+// every pass) reuse one allocation per calling thread. It is packed before
+// the ic loop, so the OpenMP workers inside that loop only read it.
 std::vector<float>& tls_bpack() {
   static thread_local std::vector<float> buf;
   return buf;
@@ -78,18 +76,21 @@ struct PortableTile {
   static constexpr std::size_t kMR = 4;
   static constexpr std::size_t kNR = 16;
 
-  static void run(std::size_t kc, const float* a, const float* b, float* c,
-                  std::size_t ldc, std::size_t mr, std::size_t nr,
-                  bool accumulate) {
+  static void run(std::size_t kc, const float* a, std::size_t rs,
+                  std::size_t ks, const float* b, float* c, std::size_t ldc,
+                  std::size_t mr, std::size_t nr, bool accumulate) {
+    const float* arow[kMR];
+    for (std::size_t i = 0; i < kMR; ++i) {
+      arow[i] = a + std::min(i, mr - 1) * rs;
+    }
     float acc[kMR * kNR] = {};
     for (std::size_t p = 0; p < kc; ++p) {
       const float* bv = b + p * kNR;
-      const float* av = a + p * kMR;
       for (std::size_t i = 0; i < kMR; ++i) {
-        const float ai = av[i];
-        float* arow = acc + i * kNR;
+        const float ai = arow[i][p * ks];
+        float* crow = acc + i * kNR;
 #pragma omp simd
-        for (std::size_t j = 0; j < kNR; ++j) arow[j] += ai * bv[j];
+        for (std::size_t j = 0; j < kNR; ++j) crow[j] += ai * bv[j];
       }
     }
     store_clipped(acc, kNR, c, ldc, mr, nr, accumulate);
@@ -98,24 +99,31 @@ struct PortableTile {
 
 #ifdef PASSFLOW_GEMM_X86
 // 8 x 32 in 16 zmm accumulators: two B loads and eight broadcasts feed 16
-// independent FMAs per k step. Products of fewer than 8 rows pad out to 8.
+// independent FMAs per k step. Products of fewer than 8 rows re-read their
+// last row up to 8.
 struct Avx512Tile {
   static constexpr std::size_t kMR = 8;
   static constexpr std::size_t kNR = 32;
 
   __attribute__((target("avx512f"))) static void run(
-      std::size_t kc, const float* a, const float* b, float* c,
-      std::size_t ldc, std::size_t mr, std::size_t nr, bool accumulate) {
+      std::size_t kc, const float* a, std::size_t rs, std::size_t ks,
+      const float* b, float* c, std::size_t ldc, std::size_t mr,
+      std::size_t nr, bool accumulate) {
+    const float* arow[kMR];
+    for (std::size_t i = 0; i < kMR; ++i) {
+      arow[i] = a + std::min(i, mr - 1) * rs;
+    }
     __m512 acc[kMR][2];
     for (std::size_t i = 0; i < kMR; ++i) {
       acc[i][0] = _mm512_setzero_ps();
       acc[i][1] = _mm512_setzero_ps();
     }
-    for (std::size_t p = 0; p < kc; ++p, a += kMR, b += kNR) {
+    for (std::size_t p = 0; p < kc; ++p, b += kNR) {
+      const std::size_t ap = p * ks;
       const __m512 b0 = _mm512_loadu_ps(b);
       const __m512 b1 = _mm512_loadu_ps(b + 16);
       for (std::size_t i = 0; i < kMR; ++i) {
-        const __m512 ai = _mm512_set1_ps(a[i]);
+        const __m512 ai = _mm512_set1_ps(arow[i][ap]);
         acc[i][0] = _mm512_fmadd_ps(ai, b0, acc[i][0]);
         acc[i][1] = _mm512_fmadd_ps(ai, b1, acc[i][1]);
       }
@@ -136,18 +144,24 @@ struct Avx2Tile {
   static constexpr std::size_t kNR = 16;
 
   __attribute__((target("avx2,fma"))) static void run(
-      std::size_t kc, const float* a, const float* b, float* c,
-      std::size_t ldc, std::size_t mr, std::size_t nr, bool accumulate) {
+      std::size_t kc, const float* a, std::size_t rs, std::size_t ks,
+      const float* b, float* c, std::size_t ldc, std::size_t mr,
+      std::size_t nr, bool accumulate) {
+    const float* arow[kMR];
+    for (std::size_t i = 0; i < kMR; ++i) {
+      arow[i] = a + std::min(i, mr - 1) * rs;
+    }
     __m256 acc[kMR][2];
     for (std::size_t i = 0; i < kMR; ++i) {
       acc[i][0] = _mm256_setzero_ps();
       acc[i][1] = _mm256_setzero_ps();
     }
-    for (std::size_t p = 0; p < kc; ++p, a += kMR, b += kNR) {
+    for (std::size_t p = 0; p < kc; ++p, b += kNR) {
+      const std::size_t ap = p * ks;
       const __m256 b0 = _mm256_loadu_ps(b);
       const __m256 b1 = _mm256_loadu_ps(b + 8);
       for (std::size_t i = 0; i < kMR; ++i) {
-        const __m256 ai = _mm256_broadcast_ss(a + i);
+        const __m256 ai = _mm256_broadcast_ss(arow[i] + ap);
         acc[i][0] = _mm256_fmadd_ps(ai, b0, acc[i][0]);
         acc[i][1] = _mm256_fmadd_ps(ai, b1, acc[i][1]);
       }
@@ -183,32 +197,35 @@ Kernel host_kernel() {
   return kernel;
 }
 
-// C[mc x nc] (stride ldc) = or += Apack * Bpack, panels packed as below.
+// C[mc x nc] (stride ldc) = or += A * Bpack. A(i, p) is a[i * rs + p * ks];
+// Bpack holds NR-wide panels packed as below.
 template <class Tile>
 void macro_kernel(std::size_t mc, std::size_t nc, std::size_t kc,
-                  const float* apack, const float* bpack, float* c,
-                  std::size_t ldc, bool accumulate) {
+                  const float* a, std::size_t rs, std::size_t ks,
+                  const float* bpack, float* c, std::size_t ldc,
+                  bool accumulate) {
   for (std::size_t jr = 0; jr < nc; jr += Tile::kNR) {
     const float* bp = bpack + jr * kc;
     const std::size_t nr = std::min(Tile::kNR, nc - jr);
     for (std::size_t ir = 0; ir < mc; ir += Tile::kMR) {
-      Tile::run(kc, apack + ir * kc, bp, c + ir * ldc + jr, ldc,
+      Tile::run(kc, a + ir * rs, rs, ks, bp, c + ir * ldc + jr, ldc,
                 std::min(Tile::kMR, mc - ir), nr, accumulate);
     }
   }
 }
 
-// Generic blocked driver. a_at(r, p) / b_at(p, c) are element accessors for
-// the logical (m x k) * (k x n) product, which lets the one driver serve
-// matmul, matmul_tn and matmul_nt — the packing step absorbs the transpose.
-// Summation over k runs in ascending order for every output element
-// regardless of OpenMP thread count, so results are deterministic.
-template <class Tile, class AGet, class BGet>
-void blocked_impl(std::size_t m, std::size_t n, std::size_t k, AGet a_at,
-                  BGet b_at, Matrix& out) {
-  constexpr std::size_t kMR = Tile::kMR;
+// Generic blocked driver for the logical (m x k) * (k x n) product. The
+// tiles read A(r, p) = a[r * rs + p * ks] in place, and b_at(p, c) is the
+// element accessor the B pack reads through, which lets the one driver
+// serve matmul, matmul_tn and matmul_nt: the strides and the packing step
+// absorb the transposes. Summation over k runs in ascending order for
+// every output element regardless of OpenMP thread count, so results are
+// deterministic.
+template <class Tile, class BGet>
+void blocked_impl(std::size_t m, std::size_t n, std::size_t k, const float* a,
+                  std::size_t rs, std::size_t ks, BGet b_at, Matrix& out) {
   constexpr std::size_t kNR = Tile::kNR;
-  static_assert(kMC % kMR == 0 && kNC % kNR == 0,
+  static_assert(kMC % Tile::kMR == 0 && kNC % kNR == 0,
                 "cache blocks must hold whole register tiles");
   out.resize(m, n);
   if (m == 0 || n == 0) return;
@@ -246,24 +263,8 @@ void blocked_impl(std::size_t m, std::size_t n, std::size_t k, AGet a_at,
     if (mblocks > 1 && m * n * k > (std::size_t{1} << 20))
       for (std::ptrdiff_t icb = 0; icb < mblocks; ++icb) {
         const std::size_t ic = static_cast<std::size_t>(icb) * kMC;
-        const std::size_t mc = std::min(kMC, m - ic);
-
-        // Pack A(ic:ic+mc, pc:pc+kc) into MR-tall panels, zero-padded.
-        std::vector<float>& apack = tls_apack();
-        apack.resize(round_up(mc, kMR) * kc);
-        for (std::size_t ip = 0; ip < mc; ip += kMR) {
-          float* panel = apack.data() + ip * kc;
-          const std::size_t mr = std::min(kMR, mc - ip);
-          for (std::size_t p = 0; p < kc; ++p) {
-            float* d = panel + p * kMR;
-            for (std::size_t i = 0; i < mr; ++i) {
-              d[i] = a_at(ic + ip + i, pc + p);
-            }
-            for (std::size_t i = mr; i < kMR; ++i) d[i] = 0.0f;
-          }
-        }
-
-        macro_kernel<Tile>(mc, nc, kc, apack.data(), bpack_data,
+        macro_kernel<Tile>(std::min(kMC, m - ic), nc, kc,
+                           a + ic * rs + pc * ks, rs, ks, bpack_data,
                            c + ic * n + jc, n, accumulate);
       }
     }
@@ -271,49 +272,46 @@ void blocked_impl(std::size_t m, std::size_t n, std::size_t k, AGet a_at,
 }
 
 // Runs the product on the host's kernel.
-template <class AGet, class BGet>
-void blocked(std::size_t m, std::size_t n, std::size_t k, AGet a_at,
-             BGet b_at, Matrix& out) {
+template <class BGet>
+void blocked(std::size_t m, std::size_t n, std::size_t k, const float* a,
+             std::size_t rs, std::size_t ks, BGet b_at, Matrix& out) {
   switch (host_kernel()) {
 #ifdef PASSFLOW_GEMM_X86
     case Kernel::kAvx512:
-      blocked_impl<Avx512Tile>(m, n, k, a_at, b_at, out);
+      blocked_impl<Avx512Tile>(m, n, k, a, rs, ks, b_at, out);
       return;
     case Kernel::kAvx2:
-      blocked_impl<Avx2Tile>(m, n, k, a_at, b_at, out);
+      blocked_impl<Avx2Tile>(m, n, k, a, rs, ks, b_at, out);
       return;
 #endif
     default:
-      blocked_impl<PortableTile>(m, n, k, a_at, b_at, out);
+      blocked_impl<PortableTile>(m, n, k, a, rs, ks, b_at, out);
       return;
   }
 }
 
 void gemm_nn_blocked(const Matrix& a, const Matrix& b, Matrix& out) {
   const std::size_t m = a.rows(), k = a.cols(), n = b.cols();
-  const float* ad = a.data();
   const float* bd = b.data();
-  blocked(
-      m, n, k, [ad, k](std::size_t r, std::size_t p) { return ad[r * k + p]; },
-      [bd, n](std::size_t p, std::size_t c) { return bd[p * n + c]; }, out);
+  blocked(m, n, k, a.data(), k, 1,
+          [bd, n](std::size_t p, std::size_t c) { return bd[p * n + c]; },
+          out);
 }
 
 void gemm_tn_blocked(const Matrix& a, const Matrix& b, Matrix& out) {
   const std::size_t k = a.rows(), m = a.cols(), n = b.cols();
-  const float* ad = a.data();
   const float* bd = b.data();
-  blocked(
-      m, n, k, [ad, m](std::size_t r, std::size_t p) { return ad[p * m + r]; },
-      [bd, n](std::size_t p, std::size_t c) { return bd[p * n + c]; }, out);
+  blocked(m, n, k, a.data(), 1, m,
+          [bd, n](std::size_t p, std::size_t c) { return bd[p * n + c]; },
+          out);
 }
 
 void gemm_nt_blocked(const Matrix& a, const Matrix& b, Matrix& out) {
   const std::size_t m = a.rows(), k = a.cols(), n = b.rows();
-  const float* ad = a.data();
   const float* bd = b.data();
-  blocked(
-      m, n, k, [ad, k](std::size_t r, std::size_t p) { return ad[r * k + p]; },
-      [bd, k](std::size_t p, std::size_t c) { return bd[c * k + p]; }, out);
+  blocked(m, n, k, a.data(), k, 1,
+          [bd, k](std::size_t p, std::size_t c) { return bd[c * k + p]; },
+          out);
 }
 
 // ------------------------------------------------------------------ naive

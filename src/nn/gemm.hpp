@@ -5,7 +5,8 @@
 //   kNaive   — the original triple loop (OpenMP over rows, k-inner saxpy).
 //              Kept as the correctness reference and for odd platforms.
 //   kBlocked — cache-blocked, register-tiled kernel in the GotoBLAS style:
-//              A and B are packed into contiguous MR/NR micro-panels and a
+//              B is packed into contiguous NR-wide micro-panels, A is read
+//              in place through a row stride and a k stride, and a
 //              register tile accumulates in registers. The tile is picked
 //              once, on first use, from the CPU (kernel_name()): explicit
 //              FMA intrinsics compiled under target attributes, 8 x 32 in

@@ -28,20 +28,23 @@ class Linear : public Module {
   // Allocation-free once warm; out must not alias input.
   void forward_into(const Matrix& input, Matrix& out) override;
   void backward_into(const Matrix& grad_output, Matrix& grad_input) override;
-  // Touches no member state, so concurrent calls on one layer are safe as
-  // long as each caller owns its `out`.
   void forward_inference_into(const Matrix& input, Matrix& out) override;
   std::vector<Param*> parameters() override;
+
+  // out = input W + b: a matmul into `out`, then the bias add. Touches no
+  // member state, so concurrent calls on one layer are safe as long as each
+  // caller owns its `out`, which must not alias the input.
+  void apply_into(const Matrix& input, Matrix& out) const;
 
   std::size_t in_features() const { return weight_.value.rows(); }
   std::size_t out_features() const { return weight_.value.cols(); }
 
   Param& weight() { return weight_; }
   Param& bias() { return bias_; }
+  const Param& weight() const { return weight_; }
+  const Param& bias() const { return bias_; }
 
  private:
-  void apply_into(const Matrix& input, Matrix& out) const;
-
   Param weight_;  // (in x out)
   Param bias_;    // (1 x out)
   Matrix cached_input_;

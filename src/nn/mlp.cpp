@@ -1,5 +1,6 @@
 #include "nn/mlp.hpp"
 
+#include <algorithm>
 #include <cstddef>
 #include <memory>
 #include <string>
@@ -106,11 +107,31 @@ void ResNetST::forward_into(const Matrix& input, Matrix& s_raw, Matrix& t) {
   t_head_.forward_into(trunk_ws_, t);
 }
 
-ResNetST::Output ResNetST::forward_inference(const Matrix& input) {
-  Matrix h = in_proj_.forward_inference(input);
-  h = in_act_.forward_inference(h);
-  for (auto& block : blocks_) h = block->forward_inference(h);
-  return {s_head_.forward_inference(h), t_head_.forward_inference(h)};
+namespace {
+// out = [left | right]; both have the same row count.
+void concat_columns(const Matrix& left, const Matrix& right, Matrix& out) {
+  out.resize(left.rows(), left.cols() + right.cols());
+  for (std::size_t r = 0; r < left.rows(); ++r) {
+    float* dst = out.row(r);
+    dst = std::copy(left.row(r), left.row(r) + left.cols(), dst);
+    std::copy(right.row(r), right.row(r) + right.cols(), dst);
+  }
+}
+}  // namespace
+
+void ResNetST::forward_inference(const Matrix& input, Scratch& scratch) const {
+  in_proj_.apply_into(input, scratch.trunk);
+  in_act_.apply_into(scratch.trunk, scratch.trunk);
+  for (const auto& block : blocks_) {
+    block->forward_inference(scratch.trunk, scratch.hidden, scratch.next);
+    std::swap(scratch.trunk, scratch.next);
+  }
+  concat_columns(s_head_.weight().value, t_head_.weight().value,
+                 scratch.head_weight);
+  concat_columns(s_head_.bias().value, t_head_.bias().value,
+                 scratch.head_bias);
+  matmul(scratch.trunk, scratch.head_weight, scratch.st);
+  add_row_vector(scratch.st, scratch.head_bias);
 }
 
 Matrix ResNetST::backward(const Matrix& grad_s_raw, const Matrix& grad_t) {

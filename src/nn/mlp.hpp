@@ -64,9 +64,24 @@ class ResNetST {
   // (trunk activations live in member workspaces). Outputs must not alias
   // the input or each other.
   void forward_into(const Matrix& input, Matrix& s_raw, Matrix& t);
-  // Inference keeps per-call locals so concurrent calls on one net (via
-  // AffineCoupling's const inference paths) stay safe.
-  Output forward_inference(const Matrix& input);
+
+  // Caller-owned buffers for one inference pass. The couplings of a flow
+  // share shapes, so one scratch serves a whole pass and a warm pass does
+  // not allocate.
+  struct Scratch {
+    Matrix trunk;        // trunk activation (rows x hidden)
+    Matrix next;         // residual block output, swapped into trunk
+    Matrix hidden;       // a residual block's fc1/ReLU output
+    Matrix head_weight;  // [W_s | W_t] (hidden x 2*out)
+    Matrix head_bias;    // [b_s | b_t] (1 x 2*out)
+    Matrix st;           // s_raw in columns [0, out), t in [out, 2*out)
+  };
+  // Inference into scratch.st. The two heads run as one product over
+  // [W_s | W_t]; each column is the same dot product as in its own head's
+  // product, so s_raw and t keep the training forward's bits. Const and
+  // cache-free, so concurrent calls on one net are safe when each caller
+  // owns its scratch.
+  void forward_inference(const Matrix& input, Scratch& scratch) const;
 
   // Backward for the two heads; returns dL/d(input).
   Matrix backward(const Matrix& grad_s_raw, const Matrix& grad_t);

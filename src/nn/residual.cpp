@@ -28,10 +28,18 @@ void ResidualBlock::forward_into(const Matrix& input, Matrix& out) {
 }
 
 Matrix ResidualBlock::forward_inference(const Matrix& input) {
-  Matrix h = fc2_.forward_inference(
-      act_.forward_inference(fc1_.forward_inference(input)));
-  add_inplace(h, input);
-  return h;
+  Matrix hidden;
+  Matrix out;
+  forward_inference(input, hidden, out);
+  return out;
+}
+
+void ResidualBlock::forward_inference(const Matrix& input, Matrix& hidden,
+                                      Matrix& out) const {
+  fc1_.apply_into(input, hidden);
+  act_.apply_into(hidden, hidden);
+  fc2_.apply_into(hidden, out);
+  add_inplace(out, input);
 }
 
 Matrix ResidualBlock::backward(const Matrix& grad_output) {

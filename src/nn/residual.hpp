@@ -20,10 +20,16 @@ class ResidualBlock : public Module {
 
   Matrix forward(const Matrix& input) override;
   Matrix backward(const Matrix& grad_output) override;
+  // Runs the scratch form below on locals.
   Matrix forward_inference(const Matrix& input) override;
+  // The inference body: fc1 into `hidden`, ReLU in place, fc2 into `out`,
+  // then the skip add, in the training forward's order. Const and
+  // cache-free, so concurrent calls on one block are safe when each caller
+  // owns `hidden` and `out`; neither may alias the input.
+  void forward_inference(const Matrix& input, Matrix& hidden,
+                         Matrix& out) const;
   // Allocation-free training variants (member workspaces); out/grad_input
-  // must not alias the input. Inference stays workspace-free so concurrent
-  // forward_inference calls on one block remain safe.
+  // must not alias the input.
   void forward_into(const Matrix& input, Matrix& out) override;
   void backward_into(const Matrix& grad_output, Matrix& grad_input) override;
   std::vector<Param*> parameters() override;

@@ -165,9 +165,11 @@ TEST(ResNetST, ZeroInitHeadsStartAtZero) {
   util::Rng rng(11);
   ResNetST st(6, 16, 2, 6, rng);
   const Matrix input = random_matrix(4, 6, rng);
-  auto out = st.forward_inference(input);
-  EXPECT_DOUBLE_EQ(out.s_raw.frobenius_norm(), 0.0);
-  EXPECT_DOUBLE_EQ(out.t.frobenius_norm(), 0.0);
+  ResNetST::Scratch scratch;
+  st.forward_inference(input, scratch);
+  // [s_raw | t]
+  ASSERT_EQ(scratch.st.cols(), 12u);
+  EXPECT_DOUBLE_EQ(scratch.st.frobenius_norm(), 0.0);
 }
 
 TEST(ResNetST, GradientsMatchNumericThroughBothHeads) {
@@ -188,9 +190,11 @@ TEST(ResNetST, GradientsMatchNumericThroughBothHeads) {
   // L = 0.5*(||s_raw||^2 + ||t||^2)
   const Matrix grad_in = st.backward(out.s_raw, out.t);
 
+  // [s_raw | t], so half its squared norm is the same loss.
+  ResNetST::Scratch scratch;
   const auto loss = [&]() {
-    auto o = st.forward_inference(input);
-    return half_squared(o.s_raw) + half_squared(o.t);
+    st.forward_inference(input, scratch);
+    return half_squared(scratch.st);
   };
   // float32 central differences carry ~1e-3 absolute noise; accept either a
   // tight relative or a tight absolute error.
