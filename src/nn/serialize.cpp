@@ -65,7 +65,14 @@ void load_params(std::istream& in, const std::vector<Param*>& params) {
                              std::to_string(params.size()));
   }
   for (Param* p : params) {
+    // Checked before sizing the buffer, so a corrupt length cannot make the
+    // loader allocate gigabytes.
     const std::uint32_t name_len = read_u32(in);
+    if (name_len != p->name.size()) {
+      throw std::runtime_error("checkpoint param name mismatch: expected '" +
+                               p->name + "', got a name of " +
+                               std::to_string(name_len) + " bytes");
+    }
     std::string name(name_len, '\0');
     in.read(name.data(), name_len);
     if (!in || name != p->name) {

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
+#include <string>
 
 #include "nn/linear.hpp"
 #include "util/rng.hpp"
@@ -36,6 +38,26 @@ TEST(Serialize, RejectsNameMismatch) {
   std::stringstream stream;
   save_params(stream, source.parameters());
   EXPECT_THROW(load_params(stream, dest.parameters()), std::runtime_error);
+}
+
+TEST(Serialize, RejectsHugeNameLengthWithoutAllocating) {
+  util::Rng rng(2);
+  Linear dest(2, 2, rng, Init::kXavier, "layer");
+  std::string bytes = "PFCKPT1\n";
+  const std::uint64_t count = dest.parameters().size();
+  const std::uint32_t name_len = 0xFFFFFFFFu;
+  bytes.append(reinterpret_cast<const char*>(&count), sizeof(count));
+  bytes.append(reinterpret_cast<const char*>(&name_len), sizeof(name_len));
+  std::stringstream stream(bytes);
+  try {
+    load_params(stream, dest.parameters());
+    FAIL() << "expected a name mismatch";
+  } catch (const std::runtime_error& e) {
+    const std::string message = e.what();
+    EXPECT_NE(message.find("param name mismatch"), std::string::npos)
+        << message;
+    EXPECT_NE(message.find("layer.weight"), std::string::npos) << message;
+  }
 }
 
 TEST(Serialize, RejectsShapeMismatch) {
