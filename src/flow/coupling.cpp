@@ -144,21 +144,6 @@ void AffineCoupling::inverse(const nn::Matrix& z, Scratch& scratch,
   }
 }
 
-nn::Matrix AffineCoupling::forward_inference(const nn::Matrix& x,
-                                             std::vector<double>* log_det) const {
-  Scratch scratch;
-  nn::Matrix z;
-  forward_inference(x, log_det, scratch, z);
-  return z;
-}
-
-nn::Matrix AffineCoupling::inverse(const nn::Matrix& z) const {
-  Scratch scratch;
-  nn::Matrix x;
-  inverse(z, scratch, x);
-  return x;
-}
-
 nn::Matrix AffineCoupling::backward(const nn::Matrix& grad_z,
                                     const std::vector<double>& grad_log_det) {
   nn::Matrix grad_x;

@@ -56,11 +56,6 @@ class AffineCoupling {
   // inverse). Same contract as above; `x` must not alias z.
   void inverse(const nn::Matrix& z, Scratch& scratch, nn::Matrix& x) const;
 
-  // The same on a scratch of their own.
-  nn::Matrix forward_inference(const nn::Matrix& x,
-                               std::vector<double>* log_det = nullptr) const;
-  nn::Matrix inverse(const nn::Matrix& z) const;
-
   // Backward for loss terms L(z, log_det): takes dL/dz and dL/d(log_det) per
   // sample, accumulates parameter gradients, returns dL/dx.
   nn::Matrix backward(const nn::Matrix& grad_z,

@@ -34,6 +34,23 @@ void randomize_parameters(AffineCoupling& coupling, util::Rng& rng,
   }
 }
 
+// The coupling's inference passes, each on a scratch of its own.
+nn::Matrix forward_inference(const AffineCoupling& coupling,
+                             const nn::Matrix& x,
+                             std::vector<double>* log_det = nullptr) {
+  AffineCoupling::Scratch scratch;
+  nn::Matrix z;
+  coupling.forward_inference(x, log_det, scratch, z);
+  return z;
+}
+
+nn::Matrix inverse(const AffineCoupling& coupling, const nn::Matrix& z) {
+  AffineCoupling::Scratch scratch;
+  nn::Matrix x;
+  coupling.inverse(z, scratch, x);
+  return x;
+}
+
 TEST(Coupling, IdentityAtInitialization) {
   // Zero-initialized heads => s = t = 0 => z = x exactly.
   util::Rng rng(1);
@@ -77,8 +94,8 @@ TEST_P(CouplingConfigTest, InverseUndoesForward) {
   randomize_parameters(coupling, rng);
 
   const nn::Matrix x = random_matrix(8, dim, rng);
-  const nn::Matrix z = coupling.forward_inference(x);
-  const nn::Matrix back = coupling.inverse(z);
+  const nn::Matrix z = forward_inference(coupling, x);
+  const nn::Matrix back = inverse(coupling, z);
   for (std::size_t i = 0; i < x.size(); ++i) {
     EXPECT_NEAR(back.data()[i], x.data()[i], 1e-4f);
   }
@@ -110,8 +127,8 @@ TEST(Coupling, LogDetMatchesNumericJacobian) {
     nn::Matrix x_plus = x, x_minus = x;
     x_plus(0, j) += static_cast<float>(eps);
     x_minus(0, j) -= static_cast<float>(eps);
-    const nn::Matrix z_plus = coupling.forward_inference(x_plus);
-    const nn::Matrix z_minus = coupling.forward_inference(x_minus);
+    const nn::Matrix z_plus = forward_inference(coupling, x_plus);
+    const nn::Matrix z_minus = forward_inference(coupling, x_minus);
     for (std::size_t i = 0; i < dim; ++i) {
       jacobian[i][j] =
           (static_cast<double>(z_plus(0, i)) - z_minus(0, i)) / (2.0 * eps);
@@ -153,7 +170,7 @@ TEST(Coupling, BackwardGradientsMatchNumeric) {
   // Loss: L = 0.5*||z||^2 - sum(log_det) (an NLL-shaped objective).
   auto loss_fn = [&]() {
     std::vector<double> ld(x.rows(), 0.0);
-    const nn::Matrix z = coupling.forward_inference(x, &ld);
+    const nn::Matrix z = forward_inference(coupling, x, &ld);
     double loss = 0.5 * nn::squared_sum(z);
     for (double v : ld) loss -= v;
     return loss;
@@ -198,7 +215,7 @@ TEST(Coupling, ForwardInferenceMatchesTrainingForward) {
     std::vector<double> ld_train(rows, 0.0);
     std::vector<double> ld_inf(rows, 0.0);
     const nn::Matrix z_train = coupling.forward(x, ld_train);
-    const nn::Matrix z_inf = coupling.forward_inference(x, &ld_inf);
+    const nn::Matrix z_inf = forward_inference(coupling, x, &ld_inf);
     ASSERT_TRUE(z_train.same_shape(z_inf));
     EXPECT_EQ(0, std::memcmp(z_train.data(), z_inf.data(),
                              z_train.size() * sizeof(float)));
