@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -30,6 +31,7 @@
 #include "test_support.hpp"
 #include "util/hash.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace passflow {
 namespace {
@@ -241,16 +243,47 @@ void check_flow(const flow::FlowModel& model, std::size_t rows,
 
 // The trained checked-in model (tests/fixtures/e2e_flow.ckpt), at the
 // architecture integration_end_to_end_test trains it with.
-TEST(NumericsGolden, TrainedFixtureInverseAndLogProb) {
+std::unique_ptr<flow::FlowModel> trained_fixture() {
   flow::FlowConfig config;
   config.dim = 8;
   config.num_couplings = 8;
   config.hidden = 96;
   config.residual_blocks = 2;
   util::Rng init(6);
-  flow::FlowModel model(config, init);
-  model.load(std::string(PASSFLOW_TEST_FIXTURE_DIR) + "/e2e_flow.ckpt");
+  auto model = std::make_unique<flow::FlowModel>(config, init);
+  model->load(std::string(PASSFLOW_TEST_FIXTURE_DIR) + "/e2e_flow.ckpt");
+  return model;
+}
 
+// The paper architecture (§IV-D: 18 couplings, hidden 256, 2 residual
+// blocks), as the attack and screening benchmarks build it, but with its
+// zero-initialized s/t heads overwritten from a fixed seed so the inverse is
+// not the identity.
+std::unique_ptr<flow::FlowModel> seeded_paper_model() {
+  const flow::FlowConfig config;
+  util::Rng init(43);
+  auto model = std::make_unique<flow::FlowModel>(config, init);
+  util::Rng heads(47);
+  std::size_t overwritten = 0;
+  for (nn::Param* param : model->parameters()) {
+    const std::string& name = param->name;
+    const auto ends_with = [&name](const std::string& suffix) {
+      return name.size() >= suffix.size() &&
+             name.compare(name.size() - suffix.size(), suffix.size(),
+                          suffix) == 0;
+    };
+    if (!ends_with(".s.weight") && !ends_with(".t.weight")) continue;
+    for (std::size_t i = 0; i < param->value.size(); ++i) {
+      param->value.data()[i] = static_cast<float>(heads.normal(0.0, 0.005));
+    }
+    ++overwritten;
+  }
+  EXPECT_EQ(overwritten, 2 * config.num_couplings);
+  return model;
+}
+
+TEST(NumericsGolden, TrainedFixtureInverseAndLogProb) {
+  const auto model = trained_fixture();
   const FlowGolden golden{
       0x9b3467233c4f656dULL,
       0x9c4dc73027781d41ULL,
@@ -264,36 +297,14 @@ TEST(NumericsGolden, TrainedFixtureInverseAndLogProb) {
           0.684192479f, 0.00139114342f, 0.00626847427f},
       {7.1554230630371105, 1.6568597063472783,
        -2.1434115673113965, 10.071521336529427}};
-  check_flow(model, 512, 41, golden);
+  check_flow(*model, 512, 41, golden);
 }
 
-// The paper architecture (§IV-D: 18 couplings, hidden 256, 2 residual
-// blocks), as the attack and screening benchmarks build it, but with its
-// zero-initialized s/t heads overwritten from a fixed seed so the inverse is
-// not the identity.
 TEST(NumericsGolden, PaperArchitectureInverseAndLogProb) {
   const flow::FlowConfig config;
   ASSERT_EQ(config.num_couplings, 18u);
   ASSERT_EQ(config.hidden, 256u);
-  util::Rng init(43);
-  flow::FlowModel model(config, init);
-  util::Rng heads(47);
-  std::size_t overwritten = 0;
-  for (nn::Param* param : model.parameters()) {
-    const std::string& name = param->name;
-    const auto ends_with = [&name](const std::string& suffix) {
-      return name.size() >= suffix.size() &&
-             name.compare(name.size() - suffix.size(), suffix.size(),
-                          suffix) == 0;
-    };
-    if (!ends_with(".s.weight") && !ends_with(".t.weight")) continue;
-    for (std::size_t i = 0; i < param->value.size(); ++i) {
-      param->value.data()[i] = static_cast<float>(heads.normal(0.0, 0.005));
-    }
-    ++overwritten;
-  }
-  ASSERT_EQ(overwritten, 2 * config.num_couplings);
-
+  const auto model = seeded_paper_model();
   const FlowGolden golden{
       0x5ae5e485e9bdfab3ULL,
       0x10ad5658e19253f1ULL,
@@ -309,7 +320,91 @@ TEST(NumericsGolden, PaperArchitectureInverseAndLogProb) {
           -0.0396217033f, -0.542693377f, -0.312998593f},
       {-11.796952094456842, -10.817536385454458,
        -13.778997938516563, -9.8931018733776668}};
-  check_flow(model, 64, 53, golden);
+  check_flow(*model, 64, 53, golden);
+}
+
+// ------------------------------------------------- strength-query batches
+//
+// The batch sizes a strength query is scored at: `screen` runs 1- to
+// 64-row passes, and a 64-row batch on a 4-worker pool splits into four
+// 16-row chunks. The rows above are 512- and 64-row serial passes, so
+// these pin the small products on their own.
+
+struct LogProbGolden {
+  std::size_t rows;
+  std::uint64_t digest;       // of the per-row log p(x)
+  std::vector<double> first;  // log p(x) of rows [0, min(rows, kRefRows))
+};
+
+// Scores a seeded batch in data space ([0, 1) coordinates, as the encoder
+// emits) with log_prob_batch on `pool`, and checks it against the golden.
+void check_log_probs(const flow::FlowModel& model, util::ThreadPool& pool,
+                     std::uint64_t seed, const LogProbGolden& golden) {
+  SCOPED_TRACE(::testing::Message() << golden.rows << " rows");
+  util::Rng rng(seed + golden.rows);
+  nn::Matrix x(golden.rows, model.dim());
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    x.data()[i] = static_cast<float>(rng.uniform());
+  }
+  const std::vector<double> log_p = model.log_prob_batch(x, &pool);
+  ASSERT_EQ(log_p.size(), golden.rows);
+  const std::uint64_t got = digest(log_p.data(), log_p.size());
+  const bool pinned = flow_bits_pinned();
+  if (pinned) {
+    EXPECT_EQ(got, golden.digest) << "computed 0x" << std::hex << got;
+  }
+  if (!pinned || got != golden.digest) {
+    std::printf("  %zu rows: log p 0x%016" PRIx64 ", first:", golden.rows,
+                got);
+    for (std::size_t r = 0; r < std::min(golden.rows, kRefRows); ++r) {
+      std::printf(" %.17g,", log_p[r]);
+    }
+    std::printf("\n");
+  }
+  ASSERT_EQ(golden.first.size(), std::min(golden.rows, kRefRows));
+  for (std::size_t r = 0; r < golden.first.size(); ++r) {
+    EXPECT_TRUE(rel_close(log_p[r], golden.first[r], kFlowTolerance))
+        << "log p row " << r << ": " << log_p[r] << " vs stored "
+        << golden.first[r];
+  }
+}
+
+TEST(NumericsGolden, TrainedFixtureLogProbBatchesOnPool) {
+  const auto model = trained_fixture();
+  util::ThreadPool pool(4);
+  const LogProbGolden goldens[] = {
+      {1, 0x8f419244307f3e05ULL, {-7.0005531025649219}},
+      {8,
+       0x6cc6b79607803bb4ULL,
+       {-13.695645996498595, -6.1535333565464825, -13.179527281171232,
+        -60.496083857498505}},
+      {16,
+       0x25773feaf3d61474ULL,
+       {-6.3199722427849192, -0.75895519924591071, 1.6629808101092429,
+        -65.117011127389773}},
+      {64,
+       0xdecb2d98f97289d0ULL,
+       {-21.78878346857644, -2.2725517330343834, -9.067722360327501,
+        -2.5869553457595984}},
+  };
+  for (const LogProbGolden& golden : goldens) {
+    check_log_probs(*model, pool, 61, golden);
+  }
+}
+
+TEST(NumericsGolden, PaperArchitectureLogProbBatchesOnPool) {
+  const auto model = seeded_paper_model();
+  util::ThreadPool pool(4);
+  const LogProbGolden goldens[] = {
+      {1, 0x5f53140c3d1e0796ULL, {-13.38358060016215}},
+      {16,
+       0x09252c34dda90d0aULL,
+       {-12.200219746114572, -10.964443103207905, -12.10184987467845,
+        -11.947025310304893}},
+  };
+  for (const LogProbGolden& golden : goldens) {
+    check_log_probs(*model, pool, 67, golden);
+  }
 }
 
 }  // namespace

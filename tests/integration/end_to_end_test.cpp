@@ -272,8 +272,9 @@ struct GuessStream {
   std::uint64_t digest = 0;
 };
 
-// Pins what the trained fixture guesses: a StaticSampler and a Dynamic+GS
-// sampler (Table I parameters), 30000 guesses each against the fresh target
+// Pins what the trained fixture guesses: a StaticSampler and a Dynamic
+// sampler with and without GS (Table I parameters), 30000 guesses each
+// against the fresh target
 // set. Where the flow's bits are reproducible (flow_bits_pinned()), the
 // matched and unique counts and the digest of the whole guess stream must
 // equal the stored values, so a faster path cannot quietly guess
@@ -302,8 +303,16 @@ TEST_F(EndToEndTest, GuessStreamsPinned) {
   guessing::DynamicSampler dynamic_sampler(*model_, *encoder_, d_config);
   const GuessStream got_dynamic = attack(dynamic_sampler);
 
+  guessing::DynamicSamplerConfig plain_config =
+      guessing::table1_parameters(budget);
+  plain_config.seed = 1905;
+  guessing::DynamicSampler plain_dynamic_sampler(*model_, *encoder_,
+                                                 plain_config);
+  const GuessStream got_plain_dynamic = attack(plain_dynamic_sampler);
+
   const GuessStream want_static{8, 27571, 0xc1a73d113304364fULL};
   const GuessStream want_dynamic{68, 22362, 0x19725a84da1e5174ULL};
+  const GuessStream want_plain_dynamic{30, 21290, 0xd071008a9c94692dULL};
   if (testing::flow_bits_pinned()) {
     EXPECT_EQ(got_static.matched, want_static.matched);
     EXPECT_EQ(got_static.unique, want_static.unique);
@@ -313,11 +322,16 @@ TEST_F(EndToEndTest, GuessStreamsPinned) {
     EXPECT_EQ(got_dynamic.unique, want_dynamic.unique);
     EXPECT_EQ(got_dynamic.digest, want_dynamic.digest)
         << "computed 0x" << std::hex << got_dynamic.digest;
+    EXPECT_EQ(got_plain_dynamic.matched, want_plain_dynamic.matched);
+    EXPECT_EQ(got_plain_dynamic.unique, want_plain_dynamic.unique);
+    EXPECT_EQ(got_plain_dynamic.digest, want_plain_dynamic.digest)
+        << "computed 0x" << std::hex << got_plain_dynamic.digest;
     return;
   }
   std::printf("kernel %s, glibc %s: guess streams not pinned here\n",
               nn::gemm::kernel_name(), testing::libc_version().c_str());
-  for (const auto* stream : {&got_static, &got_dynamic}) {
+  for (const auto* stream :
+       {&got_static, &got_dynamic, &got_plain_dynamic}) {
     std::printf("  matched %zu, unique %zu, digest 0x%016" PRIx64 "\n",
                 stream->matched, stream->unique, stream->digest);
   }
