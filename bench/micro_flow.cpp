@@ -4,8 +4,9 @@
 // size sweep and the train-step (serial vs pooled) comparison behind
 // BENCH_gemm.json. The GEMM and flow benches are labeled with the GEMM
 // kernel this host dispatches to (nn::gemm::kernel_name()). The serial flow
-// benches also count the heap allocations and bytes of one pass, through a
-// counting global operator new; those counts repeat exactly run to run.
+// benches also count, per warm pass, the heap allocations and bytes through
+// a counting global operator new and the bytes the GEMMs pack
+// (nn::gemm::packed_bytes()); those counts repeat exactly run to run.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -54,24 +55,29 @@ namespace {
 
 namespace pf = passflow;
 
-struct HeapTally {
+struct WorkTally {
   std::uint64_t allocs;
   std::uint64_t bytes;
+  std::uint64_t packed_bytes;
 };
 
-HeapTally heap_tally() {
+WorkTally work_tally() {
   return {g_heap_allocs.load(std::memory_order_relaxed),
-          g_heap_bytes.load(std::memory_order_relaxed)};
+          g_heap_bytes.load(std::memory_order_relaxed),
+          pf::nn::gemm::packed_bytes()};
 }
 
-// Reports the heap traffic since `before`, per iteration of the timed loop.
-void report_heap_per_pass(benchmark::State& state, const HeapTally& before) {
-  const HeapTally after = heap_tally();
+// Reports the heap traffic and the bytes packed since `before`, per
+// iteration of the timed loop.
+void report_work_per_pass(benchmark::State& state, const WorkTally& before) {
+  const WorkTally after = work_tally();
   const double passes = static_cast<double>(state.iterations());
   state.counters["allocs_per_pass"] =
       static_cast<double>(after.allocs - before.allocs) / passes;
   state.counters["bytes_per_pass"] =
       static_cast<double>(after.bytes - before.bytes) / passes;
+  state.counters["packed_bytes_per_pass"] =
+      static_cast<double>(after.packed_bytes - before.packed_bytes) / passes;
 }
 
 pf::nn::Matrix random_batch(std::size_t rows, std::size_t cols,
@@ -115,7 +121,8 @@ pf::flow::FlowConfig config_for(int couplings, int hidden) {
 
 // The serial flow benches time one core: on the main thread the GEMM's
 // `omp parallel for` would otherwise split a 2048-row pass across the whole
-// OpenMP team.
+// OpenMP team. One untimed pass first packs the model's inference weights,
+// so the timed loop and its counters see warm passes.
 void BM_FlowForward(benchmark::State& state) {
   pf::util::Rng rng(1);
   pf::flow::FlowModel model(
@@ -126,12 +133,13 @@ void BM_FlowForward(benchmark::State& state) {
       static_cast<std::size_t>(state.range(2)), 10, 2);
   {
     const SerialOmp serial;
-    const HeapTally before = heap_tally();
+    model.forward_inference(x);
+    const WorkTally before = work_tally();
     for (auto _ : state) {
       const auto z = model.forward_inference(x);
       benchmark::DoNotOptimize(z.data());
     }
-    report_heap_per_pass(state, before);
+    report_work_per_pass(state, before);
   }
   state.SetLabel(pf::nn::gemm::kernel_name());
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
@@ -141,6 +149,8 @@ BENCHMARK(BM_FlowForward)
     ->Args({8, 96, 2048})    // bench default architecture
     ->Args({18, 256, 2048})  // paper architecture (§IV-D)
     ->Args({18, 256, 512})
+    ->Args({18, 256, 16})    // a chunk of a pooled 64-row screening batch
+    ->Args({18, 256, 8})     // a bulk query's chunk
     ->Args({18, 256, 1});    // one strength query's candidate
 
 void BM_FlowInverse(benchmark::State& state) {
@@ -153,12 +163,13 @@ void BM_FlowInverse(benchmark::State& state) {
       static_cast<std::size_t>(state.range(2)), 10, 4);
   {
     const SerialOmp serial;
-    const HeapTally before = heap_tally();
+    model.inverse(z);
+    const WorkTally before = work_tally();
     for (auto _ : state) {
       const auto x = model.inverse(z);
       benchmark::DoNotOptimize(x.data());
     }
-    report_heap_per_pass(state, before);
+    report_work_per_pass(state, before);
   }
   state.SetLabel(pf::nn::gemm::kernel_name());
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *

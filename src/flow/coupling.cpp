@@ -78,7 +78,7 @@ void AffineCoupling::forward_into(const nn::Matrix& x,
   cached_x_ = x;
   apply_mask_into(x, mask_, masked_ws_);
   net_.forward_into(masked_ws_, cached_s_raw_, t_ws_);
-  bounded_scale_into(cached_s_raw_, s_scale_.value, cached_s_);
+  bounded_scale_into(cached_s_raw_, s_scale_.value(), cached_s_);
 
   z.resize(x.rows(), x.cols());
   for (std::size_t r = 0; r < x.rows(); ++r) {
@@ -102,7 +102,7 @@ void AffineCoupling::forward_inference(const nn::Matrix& x,
                                        Scratch& scratch, nn::Matrix& z) const {
   condition(x, scratch);
   const std::size_t dim = x.cols();
-  const float* scale = s_scale_.value.data();
+  const float* scale = s_scale_.value().data();
   z.resize(x.rows(), dim);
   for (std::size_t r = 0; r < x.rows(); ++r) {
     const float* xr = x.row(r);
@@ -127,7 +127,7 @@ void AffineCoupling::inverse(const nn::Matrix& z, Scratch& scratch,
   // through unchanged, so s and t are recoverable from z alone.
   condition(z, scratch);
   const std::size_t dim = z.cols();
-  const float* scale = s_scale_.value.data();
+  const float* scale = s_scale_.value().data();
   x.resize(z.rows(), dim);
   for (std::size_t r = 0; r < z.rows(); ++r) {
     const float* zr = z.row(r);
@@ -189,8 +189,8 @@ void AffineCoupling::backward_into(const nn::Matrix& grad_z,
   // Backprop s = s_scale * tanh(s_raw).
   nn::Matrix& grad_s_raw = grad_s_raw_ws_;
   grad_s_raw.resize(rows, cols);
-  const float* scale = s_scale_.value.data();
-  float* gscale = s_scale_.grad.data();
+  const float* scale = s_scale_.value().data();
+  float* gscale = s_scale_.sized_grad().data();
   for (std::size_t r = 0; r < rows; ++r) {
     const float* gs = grad_s.row(r);
     const float* raw = cached_s_raw_.row(r);

@@ -202,7 +202,7 @@ double FlowModel::nll_backward(const nn::Matrix& x, util::ThreadPool* pool) {
     FlowModel& replica = *replicas_[s];
     const auto rparams = replica.parameters();
     for (std::size_t i = 0; i < params.size(); ++i) {
-      rparams[i]->value = params[i]->value;
+      rparams[i]->assign(params[i]->value());
     }
     replica.zero_grad();
 
@@ -226,14 +226,14 @@ double FlowModel::nll_backward(const nn::Matrix& x, util::ThreadPool* pool) {
     for (std::size_t s = 0; s < shards; ++s) {
       const float w = static_cast<float>(
           static_cast<double>(shard_rows[s]) / static_cast<double>(rows));
-      nn::scale_inplace(rparams[s][pi]->grad, w);
+      nn::scale_inplace(rparams[s][pi]->sized_grad(), w);
     }
     for (std::size_t stride = 1; stride < shards; stride *= 2) {
       for (std::size_t s = 0; s + stride < shards; s += 2 * stride) {
         nn::add_inplace(rparams[s][pi]->grad, rparams[s + stride][pi]->grad);
       }
     }
-    nn::add_inplace(params[pi]->grad, rparams[0][pi]->grad);
+    nn::add_inplace(params[pi]->sized_grad(), rparams[0][pi]->grad);
   });
 
   double loss = 0.0;
@@ -269,7 +269,7 @@ std::vector<nn::Param*> FlowModel::parameters() {
 
 std::size_t FlowModel::parameter_count() {
   std::size_t n = 0;
-  for (nn::Param* p : parameters()) n += p->value.size();
+  for (nn::Param* p : parameters()) n += p->value().size();
   return n;
 }
 

@@ -18,14 +18,14 @@ namespace {
 std::vector<nn::Matrix> snapshot(const std::vector<nn::Param*>& params) {
   std::vector<nn::Matrix> values;
   values.reserve(params.size());
-  for (const nn::Param* p : params) values.push_back(p->value);
+  for (const nn::Param* p : params) values.push_back(p->value());
   return values;
 }
 
 void restore(const std::vector<nn::Param*>& params,
              const std::vector<nn::Matrix>& values) {
   for (std::size_t i = 0; i < params.size(); ++i) {
-    params[i]->value = values[i];
+    params[i]->assign(values[i]);
   }
 }
 }  // namespace

@@ -14,8 +14,8 @@ Adam::Adam(std::vector<Param*> params, AdamConfig config)
   m_.reserve(params_.size());
   v_.reserve(params_.size());
   for (const Param* p : params_) {
-    m_.emplace_back(p->value.rows(), p->value.cols());
-    v_.emplace_back(p->value.rows(), p->value.cols());
+    m_.emplace_back(p->value().rows(), p->value().cols());
+    v_.emplace_back(p->value().rows(), p->value().cols());
   }
 }
 
@@ -35,24 +35,27 @@ void Adam::step() {
 
   for (std::size_t i = 0; i < params_.size(); ++i) {
     Param& p = *params_[i];
-    float* value = p.value.data();
-    const float* grad = p.grad.data();
+    const float* grad = p.sized_grad().data();
     float* m = m_[i].data();
     float* v = v_[i].data();
-    for (std::size_t j = 0; j < p.value.size(); ++j) {
-      const double g = static_cast<double>(grad[j]) * clip_scale;
-      m[j] = static_cast<float>(config_.beta1 * m[j] + (1.0 - config_.beta1) * g);
-      v[j] = static_cast<float>(config_.beta2 * v[j] +
-                                (1.0 - config_.beta2) * g * g);
-      const double m_hat = m[j] / bias1;
-      const double v_hat = v[j] / bias2;
-      double update = config_.learning_rate * m_hat /
-                      (std::sqrt(v_hat) + config_.epsilon);
-      if (config_.weight_decay > 0.0) {
-        update += config_.learning_rate * config_.weight_decay * value[j];
+    p.write([&](Matrix& value_matrix) {
+      float* value = value_matrix.data();
+      for (std::size_t j = 0; j < value_matrix.size(); ++j) {
+        const double g = static_cast<double>(grad[j]) * clip_scale;
+        m[j] = static_cast<float>(config_.beta1 * m[j] +
+                                  (1.0 - config_.beta1) * g);
+        v[j] = static_cast<float>(config_.beta2 * v[j] +
+                                  (1.0 - config_.beta2) * g * g);
+        const double m_hat = m[j] / bias1;
+        const double v_hat = v[j] / bias2;
+        double update = config_.learning_rate * m_hat /
+                        (std::sqrt(v_hat) + config_.epsilon);
+        if (config_.weight_decay > 0.0) {
+          update += config_.learning_rate * config_.weight_decay * value[j];
+        }
+        value[j] = static_cast<float>(value[j] - update);
       }
-      value[j] = static_cast<float>(value[j] - update);
-    }
+    });
   }
 }
 

@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 // The explicit-FMA kernels need x86-64 intrinsics and per-function target
@@ -51,6 +53,36 @@ constexpr std::size_t round_up(std::size_t v, std::size_t q) {
 std::vector<float>& tls_bpack() {
   static thread_local std::vector<float> buf;
   return buf;
+}
+
+std::atomic<std::uint64_t> g_packed_bytes{0};
+
+// Packs B(pc:pc+kc, jc:jc+nc), read through b_at(p, c), into NR-wide
+// panels at dst, zero-padded to a multiple of NR columns.
+template <std::size_t kNR, class BGet>
+void pack_panels(BGet b_at, std::size_t pc, std::size_t kc, std::size_t jc,
+                 std::size_t nc, float* dst) {
+  for (std::size_t jp = 0; jp < nc; jp += kNR) {
+    float* panel = dst + jp * kc;
+    const std::size_t nr = std::min(kNR, nc - jp);
+    for (std::size_t p = 0; p < kc; ++p) {
+      float* d = panel + p * kNR;
+      for (std::size_t j = 0; j < nr; ++j) d[j] = b_at(pc + p, jc + jp + j);
+      for (std::size_t j = nr; j < kNR; ++j) d[j] = 0.0f;
+    }
+  }
+  g_packed_bytes.fetch_add(round_up(nc, kNR) * kc * sizeof(float),
+                           std::memory_order_relaxed);
+}
+
+// Where the panels of the (jc, pc) block start in a whole k x n operand
+// packed block after block, in the driver's loop order: every earlier
+// column block holds kNC * k floats, and every earlier k block of this
+// column block round_up(nc, NR) * kc.
+template <std::size_t kNR>
+std::size_t packed_offset(std::size_t k, std::size_t jc, std::size_t nc,
+                          std::size_t pc) {
+  return jc * k + round_up(nc, kNR) * pc;
 }
 
 // Writes the valid mr x nr corner of a full tile (row stride tile_nr) into
@@ -215,17 +247,18 @@ void macro_kernel(std::size_t mc, std::size_t nc, std::size_t kc,
 }
 
 // Generic blocked driver for the logical (m x k) * (k x n) product. The
-// tiles read A(r, p) = a[r * rs + p * ks] in place, and b_at(p, c) is the
-// element accessor the B pack reads through, which lets the one driver
-// serve matmul, matmul_tn and matmul_nt: the strides and the packing step
-// absorb the transposes. Summation over k runs in ascending order for
-// every output element regardless of OpenMP thread count, so results are
-// deterministic.
-template <class Tile, class BGet>
+// tiles read A(r, p) = a[r * rs + p * ks] in place, and panels(jc, nc, pc,
+// kc) returns the packed B(pc:pc+kc, jc:jc+nc) block: packed on the spot
+// through an element accessor, which lets one driver serve matmul,
+// matmul_tn and matmul_nt (the strides and the accessor absorb the
+// transposes), or read from a PackedB. Summation over k runs in ascending
+// order for every output element regardless of OpenMP thread count, so
+// results are deterministic, and they do not depend on where the panels
+// came from.
+template <class Tile, class Panels>
 void blocked_impl(std::size_t m, std::size_t n, std::size_t k, const float* a,
-                  std::size_t rs, std::size_t ks, BGet b_at, Matrix& out) {
-  constexpr std::size_t kNR = Tile::kNR;
-  static_assert(kMC % Tile::kMR == 0 && kNC % kNR == 0,
+                  std::size_t rs, std::size_t ks, Panels panels, Matrix& out) {
+  static_assert(kMC % Tile::kMR == 0 && kNC % Tile::kNR == 0,
                 "cache blocks must hold whole register tiles");
   out.resize(m, n);
   if (m == 0 || n == 0) return;
@@ -240,22 +273,7 @@ void blocked_impl(std::size_t m, std::size_t n, std::size_t k, const float* a,
     for (std::size_t pc = 0; pc < k; pc += kKC) {
       const std::size_t kc = std::min(kKC, k - pc);
       const bool accumulate = pc > 0;
-
-      // Pack B(pc:pc+kc, jc:jc+nc) into NR-wide panels, zero-padded.
-      std::vector<float>& bpack = tls_bpack();
-      bpack.resize(round_up(nc, kNR) * kc);
-      for (std::size_t jp = 0; jp < nc; jp += kNR) {
-        float* panel = bpack.data() + jp * kc;
-        const std::size_t nr = std::min(kNR, nc - jp);
-        for (std::size_t p = 0; p < kc; ++p) {
-          float* d = panel + p * kNR;
-          for (std::size_t j = 0; j < nr; ++j) {
-            d[j] = b_at(pc + p, jc + jp + j);
-          }
-          for (std::size_t j = nr; j < kNR; ++j) d[j] = 0.0f;
-        }
-      }
-      const float* bpack_data = bpack.data();
+      const float* bpack = panels(jc, nc, pc, kc);
 
       const std::ptrdiff_t mblocks =
           static_cast<std::ptrdiff_t>((m + kMC - 1) / kMC);
@@ -264,30 +282,70 @@ void blocked_impl(std::size_t m, std::size_t n, std::size_t k, const float* a,
       for (std::ptrdiff_t icb = 0; icb < mblocks; ++icb) {
         const std::size_t ic = static_cast<std::size_t>(icb) * kMC;
         macro_kernel<Tile>(std::min(kMC, m - ic), nc, kc,
-                           a + ic * rs + pc * ks, rs, ks, bpack_data,
+                           a + ic * rs + pc * ks, rs, ks, bpack,
                            c + ic * n + jc, n, accumulate);
       }
     }
   }
 }
 
-// Runs the product on the host's kernel.
-template <class BGet>
-void blocked(std::size_t m, std::size_t n, std::size_t k, const float* a,
-             std::size_t rs, std::size_t ks, BGet b_at, Matrix& out) {
+// Packs the whole row-major k x n matrix b, every (jc, pc) block at its
+// packed_offset, for the product on a PackedB.
+template <class Tile>
+void pack_whole(const Matrix& b, std::vector<float>& panels) {
+  const std::size_t k = b.rows(), n = b.cols();
+  const std::size_t last_jc = n == 0 ? 0 : (n - 1) / kNC * kNC;
+  panels.resize(packed_offset<Tile::kNR>(k, last_jc, n - last_jc, k));
+  const float* bd = b.data();
+  const auto b_at = [bd, n](std::size_t p, std::size_t c) {
+    return bd[p * n + c];
+  };
+  for (std::size_t jc = 0; jc < n; jc += kNC) {
+    const std::size_t nc = std::min(kNC, n - jc);
+    for (std::size_t pc = 0; pc < k; pc += kKC) {
+      pack_panels<Tile::kNR>(
+          b_at, pc, std::min(kKC, k - pc), jc, nc,
+          panels.data() + packed_offset<Tile::kNR>(k, jc, nc, pc));
+    }
+  }
+}
+
+// Runs `fn` with the host kernel's tile type, as fn(Tile{}).
+template <class Fn>
+void with_host_tile(Fn fn) {
   switch (host_kernel()) {
 #ifdef PASSFLOW_GEMM_X86
     case Kernel::kAvx512:
-      blocked_impl<Avx512Tile>(m, n, k, a, rs, ks, b_at, out);
+      fn(Avx512Tile{});
       return;
     case Kernel::kAvx2:
-      blocked_impl<Avx2Tile>(m, n, k, a, rs, ks, b_at, out);
+      fn(Avx2Tile{});
       return;
 #endif
     default:
-      blocked_impl<PortableTile>(m, n, k, a, rs, ks, b_at, out);
+      fn(PortableTile{});
       return;
   }
+}
+
+// Runs the product on the host's kernel, packing B per call, block by
+// block, into tls_bpack().
+template <class BGet>
+void blocked(std::size_t m, std::size_t n, std::size_t k, const float* a,
+             std::size_t rs, std::size_t ks, BGet b_at, Matrix& out) {
+  with_host_tile([&](auto tile) {
+    using Tile = decltype(tile);
+    blocked_impl<Tile>(
+        m, n, k, a, rs, ks,
+        [b_at](std::size_t jc, std::size_t nc, std::size_t pc,
+               std::size_t kc) -> const float* {
+          std::vector<float>& bpack = tls_bpack();
+          bpack.resize(round_up(nc, Tile::kNR) * kc);
+          pack_panels<Tile::kNR>(b_at, pc, kc, jc, nc, bpack.data());
+          return bpack.data();
+        },
+        out);
+  });
 }
 
 void gemm_nn_blocked(const Matrix& a, const Matrix& b, Matrix& out) {
@@ -505,6 +563,10 @@ const char* kernel_name() {
   return "portable";
 }
 
+std::uint64_t packed_bytes() {
+  return g_packed_bytes.load(std::memory_order_relaxed);
+}
+
 void gemm_nn(Backend be, const Matrix& a, const Matrix& b, Matrix& out) {
   assert(a.cols() == b.rows());
   switch (sanitize(be)) {
@@ -554,6 +616,55 @@ void gemm_nt(Backend be, const Matrix& a, const Matrix& b, Matrix& out) {
       gemm_nt_blocked(a, b, out);
       return;
   }
+}
+
+void PackedB::pack(Backend be, const std::vector<const Matrix*>& blocks) {
+  std::size_t k = 0, n = 0;
+  for (const Matrix* block : blocks) {
+    assert(n == 0 || block->rows() == k);
+    k = block->rows();
+    n += block->cols();
+  }
+  Matrix b(k, n);
+  for (std::size_t r = 0; r < k; ++r) {
+    float* dst = b.row(r);
+    for (const Matrix* block : blocks) {
+      dst = std::copy(block->row(r), block->row(r) + block->cols(), dst);
+    }
+  }
+  backend_ = sanitize(be);
+  k_ = k;
+  n_ = n;
+  if (backend_ == Backend::kBlocked) {
+    with_host_tile(
+        [&](auto tile) { pack_whole<decltype(tile)>(b, panels_); });
+    row_major_ = Matrix();
+  } else {
+    g_packed_bytes.fetch_add(b.size() * sizeof(float),
+                             std::memory_order_relaxed);
+    row_major_ = std::move(b);
+    panels_ = std::vector<float>();
+  }
+}
+
+void gemm_nn(const Matrix& a, const PackedB& b, Matrix& out) {
+  assert(a.cols() == b.rows());
+  if (b.backend() != Backend::kBlocked) {
+    gemm_nn(b.backend(), a, b.row_major_, out);
+    return;
+  }
+  const std::size_t k = b.rows();
+  const float* panels = b.panels_.data();
+  with_host_tile([&](auto tile) {
+    using Tile = decltype(tile);
+    blocked_impl<Tile>(
+        a.rows(), b.cols(), k, a.data(), k, 1,
+        [panels, k](std::size_t jc, std::size_t nc, std::size_t pc,
+                    std::size_t) -> const float* {
+          return panels + packed_offset<Tile::kNR>(k, jc, nc, pc);
+        },
+        out);
+  });
 }
 
 }  // namespace passflow::nn::gemm

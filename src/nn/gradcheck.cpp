@@ -17,14 +17,16 @@ void accumulate(GradCheckResult& result, double analytic, double numeric) {
   ++result.checked;
 }
 
-double central_difference(const std::function<double()>& loss, float& entry,
-                          double eps) {
-  const float original = entry;
-  entry = static_cast<float>(original + eps);
+// Central difference of loss() in one coordinate, whose value is
+// `original`; set(v) writes the coordinate.
+template <class Set>
+double central_difference(const std::function<double()>& loss, float original,
+                          Set set, double eps) {
+  set(static_cast<float>(original + eps));
   const double plus = loss();
-  entry = static_cast<float>(original - eps);
+  set(static_cast<float>(original - eps));
   const double minus = loss();
-  entry = original;
+  set(original);
   return (plus - minus) / (2.0 * eps);
 }
 }  // namespace
@@ -34,11 +36,15 @@ GradCheckResult check_param_gradients(const std::function<double()>& loss,
                                       double eps, std::size_t max_entries) {
   GradCheckResult result;
   for (Param* p : params) {
-    const std::size_t n = p->value.size();
+    const std::size_t n = p->value().size();
     const std::size_t stride = std::max<std::size_t>(1, n / max_entries);
     for (std::size_t i = 0; i < n; i += stride) {
-      const double numeric = central_difference(loss, p->value.data()[i], eps);
-      accumulate(result, p->grad.data()[i], numeric);
+      const auto set = [p, i](float v) {
+        p->write([i, v](Matrix& value) { value.data()[i] = v; });
+      };
+      const double numeric =
+          central_difference(loss, p->value().data()[i], set, eps);
+      accumulate(result, p->sized_grad().data()[i], numeric);
     }
   }
   return result;
@@ -51,7 +57,9 @@ GradCheckResult check_input_gradients(const std::function<double()>& loss,
   const std::size_t n = input.size();
   const std::size_t stride = std::max<std::size_t>(1, n / max_entries);
   for (std::size_t i = 0; i < n; i += stride) {
-    const double numeric = central_difference(loss, input.data()[i], eps);
+    float* entry = input.data() + i;
+    const double numeric = central_difference(
+        loss, *entry, [entry](float v) { *entry = v; }, eps);
     accumulate(result, analytic.data()[i], numeric);
   }
   return result;

@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -36,9 +38,28 @@ Linear::Linear(std::size_t in_features, std::size_t out_features,
     : weight_(name + ".weight", init_weight(in_features, out_features, rng, init)),
       bias_(name + ".bias", Matrix(1, out_features)) {}
 
+void PackedWeights::matmul(const Matrix& input,
+                           std::initializer_list<const Param*> sources,
+                           Matrix& out) const {
+  const gemm::Backend backend = gemm::active_backend();
+  std::uint64_t versions = 0;
+  for (const Param* p : sources) versions += p->version();
+  const std::uint64_t key = versions << 2 | static_cast<std::uint64_t>(backend);
+  if (key_.load(std::memory_order_acquire) != key) {
+    const util::MutexLock lock(mu_);
+    if (key_.load(std::memory_order_relaxed) != key) {
+      std::vector<const Matrix*> blocks;
+      for (const Param* p : sources) blocks.push_back(&p->value());
+      packed_.pack(backend, blocks);
+      key_.store(key, std::memory_order_release);
+    }
+  }
+  gemm::gemm_nn(input, packed_, out);
+}
+
 void Linear::apply_into(const Matrix& input, Matrix& out) const {
-  matmul(input, weight_.value, out);
-  add_row_vector(out, bias_.value);
+  packed_weight_.matmul(input, {&weight_}, out);
+  add_row_vector(out, bias_.value());
 }
 
 Matrix Linear::forward(const Matrix& input) {
@@ -47,9 +68,11 @@ Matrix Linear::forward(const Matrix& input) {
   return out;
 }
 
+// Training packs W per call: it changes every step.
 void Linear::forward_into(const Matrix& input, Matrix& out) {
   cached_input_ = input;  // capacity-reusing copy once shapes are stable
-  apply_into(input, out);
+  matmul(input, weight_.value(), out);
+  add_row_vector(out, bias_.value());
 }
 
 Matrix Linear::forward_inference(const Matrix& input) {
@@ -71,12 +94,12 @@ Matrix Linear::backward(const Matrix& grad_output) {
 void Linear::backward_into(const Matrix& grad_output, Matrix& grad_input) {
   // dW += x^T g ; db += column_sum(g) ; dx = g W^T
   matmul_tn(cached_input_, grad_output, dw_ws_);
-  add_inplace(weight_.grad, dw_ws_);
+  add_inplace(weight_.sized_grad(), dw_ws_);
 
   column_sum(grad_output, db_ws_);
-  add_inplace(bias_.grad, db_ws_);
+  add_inplace(bias_.sized_grad(), db_ws_);
 
-  matmul_nt(grad_output, weight_.value, grad_input);
+  matmul_nt(grad_output, weight_.value(), grad_input);
 }
 
 std::vector<Param*> Linear::parameters() { return {&weight_, &bias_}; }

@@ -1,6 +1,5 @@
 #include "nn/mlp.hpp"
 
-#include <algorithm>
 #include <cstddef>
 #include <memory>
 #include <string>
@@ -107,18 +106,6 @@ void ResNetST::forward_into(const Matrix& input, Matrix& s_raw, Matrix& t) {
   t_head_.forward_into(trunk_ws_, t);
 }
 
-namespace {
-// out = [left | right]; both have the same row count.
-void concat_columns(const Matrix& left, const Matrix& right, Matrix& out) {
-  out.resize(left.rows(), left.cols() + right.cols());
-  for (std::size_t r = 0; r < left.rows(); ++r) {
-    float* dst = out.row(r);
-    dst = std::copy(left.row(r), left.row(r) + left.cols(), dst);
-    std::copy(right.row(r), right.row(r) + right.cols(), dst);
-  }
-}
-}  // namespace
-
 void ResNetST::forward_inference(const Matrix& input, Scratch& scratch) const {
   in_proj_.apply_into(input, scratch.trunk);
   in_act_.apply_into(scratch.trunk, scratch.trunk);
@@ -126,12 +113,19 @@ void ResNetST::forward_inference(const Matrix& input, Scratch& scratch) const {
     block->forward_inference(scratch.trunk, scratch.hidden, scratch.next);
     std::swap(scratch.trunk, scratch.next);
   }
-  concat_columns(s_head_.weight().value, t_head_.weight().value,
-                 scratch.head_weight);
-  concat_columns(s_head_.bias().value, t_head_.bias().value,
-                 scratch.head_bias);
-  matmul(scratch.trunk, scratch.head_weight, scratch.st);
-  add_row_vector(scratch.st, scratch.head_bias);
+  packed_heads_.matmul(scratch.trunk,
+                       {&s_head_.weight(), &t_head_.weight()}, scratch.st);
+  // The bias add of each head, on its half of the columns.
+  const std::size_t out = s_head_.out_features();
+  const float* bs = s_head_.bias().value().data();
+  const float* bt = t_head_.bias().value().data();
+  for (std::size_t r = 0; r < scratch.st.rows(); ++r) {
+    float* row = scratch.st.row(r);
+#pragma omp simd
+    for (std::size_t c = 0; c < out; ++c) row[c] += bs[c];
+#pragma omp simd
+    for (std::size_t c = 0; c < out; ++c) row[out + c] += bt[c];
+  }
 }
 
 Matrix ResNetST::backward(const Matrix& grad_s_raw, const Matrix& grad_t) {

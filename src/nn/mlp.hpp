@@ -69,18 +69,15 @@ class ResNetST {
   // share shapes, so one scratch serves a whole pass and a warm pass does
   // not allocate.
   struct Scratch {
-    Matrix trunk;        // trunk activation (rows x hidden)
-    Matrix next;         // residual block output, swapped into trunk
-    Matrix hidden;       // a residual block's fc1/ReLU output
-    Matrix head_weight;  // [W_s | W_t] (hidden x 2*out)
-    Matrix head_bias;    // [b_s | b_t] (1 x 2*out)
-    Matrix st;           // s_raw in columns [0, out), t in [out, 2*out)
+    Matrix trunk;   // trunk activation (rows x hidden)
+    Matrix next;    // residual block output, swapped into trunk
+    Matrix hidden;  // a residual block's fc1/ReLU output
+    Matrix st;      // s_raw in columns [0, out), t in [out, 2*out)
   };
-  // Inference into scratch.st. The two heads run as one product over
-  // [W_s | W_t]; each column is the same dot product as in its own head's
-  // product, so s_raw and t keep the training forward's bits. Const and
-  // cache-free, so concurrent calls on one net are safe when each caller
-  // owns its scratch.
+  // Inference into scratch.st. The two heads run as one product over the
+  // packed [W_s | W_t]; each column is the same dot product as in its own
+  // head's product, so s_raw and t keep the training forward's bits.
+  // Concurrent calls on one net are safe when each caller owns its scratch.
   void forward_inference(const Matrix& input, Scratch& scratch) const;
 
   // Backward for the two heads; returns dL/d(input).
@@ -96,6 +93,7 @@ class ResNetST {
   std::vector<std::unique_ptr<ResidualBlock>> blocks_;
   Linear s_head_;
   Linear t_head_;
+  PackedWeights packed_heads_;  // [W_s | W_t], inference only
   Matrix trunk_ws_;  // training-only trunk activation ping-pong
   Matrix trunk_ws2_;
 };

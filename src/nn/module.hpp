@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -19,15 +20,56 @@
 namespace passflow::nn {
 
 // A learnable tensor with its accumulated gradient.
-struct Param {
+//
+// The value is read through value() and written only through write() or
+// assign(), which advance version() once the write has landed. Inference
+// products read a packed copy of their weights (PackedWeights in
+// nn/linear.hpp) that is valid only for the versions it was built from, so
+// no write can leave a stale copy behind. Writes must not overlap reads of
+// the same Param on other threads; reads may run concurrently.
+//
+// The gradient is allocated by the first accumulation into it
+// (sized_grad()), so a model that only runs inference holds none.
+class Param {
+ public:
+  Param() = default;
+  Param(std::string n, Matrix v) : name(std::move(n)), value_(std::move(v)) {}
+
   std::string name;
-  Matrix value;
+  // dL/d(value) summed over backward passes; empty until sized_grad().
   Matrix grad;
 
-  Param() = default;
-  Param(std::string n, Matrix v)
-      : name(std::move(n)), value(std::move(v)),
-        grad(value.rows(), value.cols()) {}
+  const Matrix& value() const { return value_; }
+  std::uint64_t version() const { return version_; }
+
+  // Runs write_fn(Matrix&) on the value, then advances the version. The
+  // version advances also when write_fn throws, as part of the write may
+  // have landed.
+  template <class WriteFn>
+  void write(WriteFn&& write_fn) {
+    struct Advance {
+      std::uint64_t& version;
+      ~Advance() { ++version; }
+    } advance{version_};
+    write_fn(value_);
+  }
+  void assign(const Matrix& value) {
+    write([&value](Matrix& v) { v = value; });
+  }
+
+  // grad, sized to value() and zero-filled when nothing has accumulated
+  // into it yet. Backward passes accumulate through this.
+  Matrix& sized_grad() {
+    if (!grad.same_shape(value_)) {
+      grad.resize(value_.rows(), value_.cols());
+      grad.zero();
+    }
+    return grad;
+  }
+
+ private:
+  Matrix value_;
+  std::uint64_t version_ = 1;
 };
 
 class Module {
@@ -70,7 +112,7 @@ class Module {
 
   std::size_t parameter_count() {
     std::size_t n = 0;
-    for (Param* p : parameters()) n += p->value.size();
+    for (Param* p : parameters()) n += p->value().size();
     return n;
   }
 };

@@ -44,10 +44,11 @@ void save_params(std::ostream& out, const std::vector<Param*>& params) {
   for (const Param* p : params) {
     write_u32(out, static_cast<std::uint32_t>(p->name.size()));
     out.write(p->name.data(), static_cast<std::streamsize>(p->name.size()));
-    write_u64(out, p->value.rows());
-    write_u64(out, p->value.cols());
-    out.write(reinterpret_cast<const char*>(p->value.data()),
-              static_cast<std::streamsize>(p->value.size() * sizeof(float)));
+    const Matrix& value = p->value();
+    write_u64(out, value.rows());
+    write_u64(out, value.cols());
+    out.write(reinterpret_cast<const char*>(value.data()),
+              static_cast<std::streamsize>(value.size() * sizeof(float)));
   }
   if (!out) throw std::runtime_error("checkpoint write failed");
 }
@@ -81,11 +82,13 @@ void load_params(std::istream& in, const std::vector<Param*>& params) {
     }
     const std::uint64_t rows = read_u64(in);
     const std::uint64_t cols = read_u64(in);
-    if (rows != p->value.rows() || cols != p->value.cols()) {
+    if (rows != p->value().rows() || cols != p->value().cols()) {
       throw std::runtime_error("checkpoint shape mismatch for " + p->name);
     }
-    in.read(reinterpret_cast<char*>(p->value.data()),
-            static_cast<std::streamsize>(p->value.size() * sizeof(float)));
+    p->write([&in](Matrix& value) {
+      in.read(reinterpret_cast<char*>(value.data()),
+              static_cast<std::streamsize>(value.size() * sizeof(float)));
+    });
     if (!in) throw std::runtime_error("checkpoint truncated in " + p->name);
   }
 }

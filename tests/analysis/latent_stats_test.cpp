@@ -33,9 +33,11 @@ class LatentStatsTest : public ::testing::Test {
         model_(passflow::testing::tiny_flow_config(), rng_) {
     for (nn::Param* p : model_.parameters()) {
       if (p->name.find("s_scale") != std::string::npos) continue;
-      for (std::size_t i = 0; i < p->value.size(); ++i) {
-        p->value.data()[i] += static_cast<float>(rng_.normal(0.0, 0.1));
-      }
+      p->write([this](nn::Matrix& value) {
+        for (std::size_t i = 0; i < value.size(); ++i) {
+          value.data()[i] += static_cast<float>(rng_.normal(0.0, 0.1));
+        }
+      });
     }
   }
 

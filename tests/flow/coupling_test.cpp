@@ -28,9 +28,11 @@ void randomize_parameters(AffineCoupling& coupling, util::Rng& rng,
                           double stddev = 0.2) {
   for (nn::Param* p : coupling.parameters()) {
     if (p->name.find("s_scale") != std::string::npos) continue;
-    for (std::size_t i = 0; i < p->value.size(); ++i) {
-      p->value.data()[i] += static_cast<float>(rng.normal(0.0, stddev));
-    }
+    p->write([&](nn::Matrix& value) {
+      for (std::size_t i = 0; i < value.size(); ++i) {
+        value.data()[i] += static_cast<float>(rng.normal(0.0, stddev));
+      }
+    });
   }
 }
 

@@ -91,9 +91,13 @@ const char* flavor_name(Flavor f) {
 // The logical (m x k) * (k x n) product in the given flavor, on inputs drawn
 // from a seed fixed by the shape. `naive` computes the reference instead of
 // going through the active backend.
+std::uint64_t input_seed(const GemmGolden& g) {
+  return 1000003 * g.m + 1009 * g.k + g.n +
+         static_cast<std::uint64_t>(g.flavor);
+}
+
 nn::Matrix product(const GemmGolden& g, bool naive) {
-  util::Rng rng(1000003 * g.m + 1009 * g.k + g.n +
-                static_cast<std::uint64_t>(g.flavor));
+  util::Rng rng(input_seed(g));
   nn::Matrix out;
   namespace gemm = nn::gemm;
   switch (g.flavor) {
@@ -171,6 +175,48 @@ TEST(NumericsGolden, GemmProducts) {
       ASSERT_TRUE(rel_close(out.data()[i], ref.data()[i], 1e-4))
           << "at flat index " << i << ": " << out.data()[i] << " vs naive "
           << ref.data()[i];
+    }
+  }
+}
+
+// The inference layers read their weights from a gemm::PackedB packed
+// once, a Linear's W whole and ResNetST's heads as the two column blocks
+// [W_s | W_t]. Both must give every matmul digest above, and the bits of
+// the product that packs per call on any backend.
+TEST(NumericsGolden, PackedWeightProducts) {
+  namespace gemm = nn::gemm;
+  const bool pinned = gemm_bits_pinned();
+  for (const GemmGolden& g : kGemmGoldens) {
+    if (g.flavor != Flavor::kNN) continue;
+    SCOPED_TRACE(::testing::Message() << "matmul " << g.m << 'x' << g.k
+                                      << 'x' << g.n);
+    util::Rng rng(input_seed(g));
+    const nn::Matrix a = normal_matrix(g.m, g.k, rng);
+    const nn::Matrix b = normal_matrix(g.k, g.n, rng);
+    const nn::Matrix per_call = nn::matmul(a, b);
+
+    const std::size_t split = g.n / 2;
+    nn::Matrix left(g.k, split);
+    nn::Matrix right(g.k, g.n - split);
+    for (std::size_t r = 0; r < g.k; ++r) {
+      std::copy(b.row(r), b.row(r) + split, left.row(r));
+      std::copy(b.row(r) + split, b.row(r) + g.n, right.row(r));
+    }
+    gemm::PackedB whole;
+    whole.pack(gemm::active_backend(), {&b});
+    gemm::PackedB halves;
+    halves.pack(gemm::active_backend(), {&left, &right});
+    for (const gemm::PackedB* packed : {&whole, &halves}) {
+      nn::Matrix out;
+      gemm::gemm_nn(a, *packed, out);
+      ASSERT_TRUE(out.same_shape(per_call));
+      if (pinned) {
+        EXPECT_EQ(digest(out.data(), out.size()), g.digest);
+      }
+      EXPECT_EQ(0, std::memcmp(out.data(), per_call.data(),
+                               out.size() * sizeof(float)))
+          << (packed == &whole ? "whole" : "two blocks")
+          << ": differs from the per-call product";
     }
   }
 }
@@ -273,9 +319,11 @@ std::unique_ptr<flow::FlowModel> seeded_paper_model() {
                           suffix) == 0;
     };
     if (!ends_with(".s.weight") && !ends_with(".t.weight")) continue;
-    for (std::size_t i = 0; i < param->value.size(); ++i) {
-      param->value.data()[i] = static_cast<float>(heads.normal(0.0, 0.005));
-    }
+    param->write([&heads](nn::Matrix& value) {
+      for (std::size_t i = 0; i < value.size(); ++i) {
+        value.data()[i] = static_cast<float>(heads.normal(0.0, 0.005));
+      }
+    });
     ++overwritten;
   }
   EXPECT_EQ(overwritten, 2 * config.num_couplings);

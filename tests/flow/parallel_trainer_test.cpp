@@ -170,7 +170,7 @@ TEST(ParallelTrainerTest, PooledTrainingIsReproducible) {
     Trainer trainer(model, config);
     trainer.train(corpus, encoder);
     std::vector<nn::Matrix> values;
-    for (nn::Param* param : model.parameters()) values.push_back(param->value);
+    for (nn::Param* param : model.parameters()) values.push_back(param->value());
     return values;
   };
 

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "test_support.hpp"
@@ -145,6 +146,40 @@ TEST(FlowThreadSafety, BatchedLogProbRowsEqualRowsScoredAlone) {
     const std::vector<double> alone = env.model.log_prob_batch(row);
     ASSERT_EQ(alone.size(), 1u);
     ASSERT_EQ(batched[r], alone[0]) << "row " << r;
+  }
+}
+
+// A new model packs each inference weight on first use. Here every worker
+// of a 4-worker pool makes that first use at once, as `screen` does when a
+// 64-row batch splits into four 16-row chunks; each chunk must still equal
+// the serial result of a twin model with the same weights.
+TEST(FlowThreadSafety, ConcurrentFirstUseOfANewModel) {
+  // Twins: the same seed builds the same weights, the zero-initialized s/t
+  // heads perturbed too, so the flow is not the identity map.
+  const auto twin = [] {
+    util::Rng rng(61);
+    auto model = std::make_unique<FlowModel>(
+        passflow::testing::tiny_flow_config(), rng);
+    for (nn::Param* p : model->parameters()) {
+      p->write([&rng](nn::Matrix& value) {
+        for (std::size_t i = 0; i < value.size(); ++i) {
+          value.data()[i] += static_cast<float>(rng.normal(0.0, 0.15));
+        }
+      });
+    }
+    return model;
+  };
+  const auto reference = twin();
+  const nn::Matrix x = normal_batch(64, reference->dim(), 11);
+  const std::vector<double> want_log_p = reference->log_prob_batch(x);
+  const nn::Matrix want_inverse = reference->inverse(x);
+
+  util::ThreadPool pool(4);
+  for (int round = 0; round < 4; ++round) {
+    const auto scored = twin();
+    ASSERT_EQ(scored->log_prob_batch(x, &pool), want_log_p);
+    const auto inverted = twin();
+    expect_bitwise_equal(inverted->inverse(x, &pool), want_inverse);
   }
 }
 

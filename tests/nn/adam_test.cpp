@@ -19,13 +19,13 @@ TEST(Adam, MinimizesQuadratic) {
   config.learning_rate = 0.05;
   Adam adam({&w}, config);
   for (int step = 0; step < 2000; ++step) {
-    w.grad = w.value;
+    w.grad = w.value();
     sub_inplace(w.grad, target);
     adam.step();
     w.grad.zero();
   }
   for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_NEAR(w.value(0, i), target(0, i), 1e-2);
+    EXPECT_NEAR(w.value()(0, i), target(0, i), 1e-2);
   }
 }
 
@@ -33,7 +33,7 @@ TEST(Adam, StepCountAdvances) {
   Param w("w", Matrix(1, 1));
   Adam adam({&w});
   EXPECT_EQ(adam.step_count(), 0);
-  w.grad.fill(1.0f);
+  w.sized_grad().fill(1.0f);
   adam.step();
   EXPECT_EQ(adam.step_count(), 1);
 }
@@ -44,9 +44,9 @@ TEST(Adam, FirstStepMovesByLearningRate) {
   AdamConfig config;
   config.learning_rate = 0.1;
   Adam adam({&w}, config);
-  w.grad.fill(3.0f);
+  w.sized_grad().fill(3.0f);
   adam.step();
-  EXPECT_NEAR(w.value(0, 0), -0.1, 1e-4);
+  EXPECT_NEAR(w.value()(0, 0), -0.1, 1e-4);
 }
 
 TEST(Adam, ClipNormBoundsUpdateMagnitude) {
@@ -55,12 +55,12 @@ TEST(Adam, ClipNormBoundsUpdateMagnitude) {
   config.learning_rate = 0.1;
   config.clip_norm = 1.0;
   Adam adam({&w}, config);
-  w.grad.fill(1000.0f);  // norm >> clip
+  w.sized_grad().fill(1000.0f);  // norm >> clip
   adam.step();
   // The clipped gradient has norm 1; Adam normalizes per-coordinate anyway,
   // so just assert the update stayed bounded and finite.
-  EXPECT_TRUE(std::isfinite(w.value(0, 0)));
-  EXPECT_LT(std::abs(w.value(0, 0)), 0.2);
+  EXPECT_TRUE(std::isfinite(w.value()(0, 0)));
+  EXPECT_LT(std::abs(w.value()(0, 0)), 0.2);
 }
 
 TEST(Adam, WeightDecayShrinksWeightsWithZeroGrad) {
@@ -69,9 +69,9 @@ TEST(Adam, WeightDecayShrinksWeightsWithZeroGrad) {
   config.learning_rate = 0.1;
   config.weight_decay = 0.5;
   Adam adam({&w}, config);
-  w.grad.zero();
+  w.sized_grad().zero();
   adam.step();
-  EXPECT_LT(w.value(0, 0), 1.0f);
+  EXPECT_LT(w.value()(0, 0), 1.0f);
 }
 
 TEST(Adam, TrainsLinearRegression) {
@@ -100,10 +100,10 @@ TEST(Adam, TrainsLinearRegression) {
     layer.backward(grad);
     adam.step();
   }
-  EXPECT_NEAR(layer.weight().value(0, 0), 2.0, 0.05);
-  EXPECT_NEAR(layer.weight().value(1, 0), -1.0, 0.05);
-  EXPECT_NEAR(layer.weight().value(2, 0), 0.5, 0.05);
-  EXPECT_NEAR(layer.bias().value(0, 0), 1.0, 0.05);
+  EXPECT_NEAR(layer.weight().value()(0, 0), 2.0, 0.05);
+  EXPECT_NEAR(layer.weight().value()(1, 0), -1.0, 0.05);
+  EXPECT_NEAR(layer.weight().value()(2, 0), 0.5, 0.05);
+  EXPECT_NEAR(layer.bias().value()(0, 0), 1.0, 0.05);
 }
 
 }  // namespace

@@ -52,8 +52,8 @@ void check_module_gradients(Module& module, Matrix input,
 TEST(Linear, ForwardComputesAffineMap) {
   util::Rng rng(1);
   Linear layer(2, 2, rng, Init::kZero);
-  layer.weight().value = Matrix::from_rows({{1, 2}, {3, 4}});
-  layer.bias().value = Matrix::from_rows({{10, 20}});
+  layer.weight().assign(Matrix::from_rows({{1, 2}, {3, 4}}));
+  layer.bias().assign(Matrix::from_rows({{10, 20}}));
   const Matrix out = layer.forward(Matrix::from_rows({{1, 1}}));
   EXPECT_FLOAT_EQ(out(0, 0), 14);  // 1*1 + 1*3 + 10
   EXPECT_FLOAT_EQ(out(0, 1), 26);  // 1*2 + 1*4 + 20
@@ -75,7 +75,7 @@ TEST(Linear, ZeroInitProducesBiasOnlyOutput) {
 TEST(Linear, HeInitVarianceScalesWithFanIn) {
   util::Rng rng(4);
   Linear layer(1000, 50, rng, Init::kHe);
-  const double norm_sq = squared_sum(layer.weight().value);
+  const double norm_sq = squared_sum(layer.weight().value());
   const double variance = norm_sq / (1000.0 * 50.0);
   EXPECT_NEAR(variance, 2.0 / 1000.0, 0.0005);
 }
@@ -128,7 +128,9 @@ TEST(ResidualBlock, GradientsMatchNumeric) {
 TEST(ResidualBlock, SkipConnectionPreservesSignalAtZeroWeights) {
   util::Rng rng(7);
   ResidualBlock block(4, rng);
-  for (Param* p : block.parameters()) p->value.zero();
+  for (Param* p : block.parameters()) {
+    p->write([](Matrix& value) { value.zero(); });
+  }
   const Matrix input = random_matrix(3, 4, rng);
   const Matrix out = block.forward(input);
   for (std::size_t i = 0; i < out.size(); ++i) {
@@ -177,10 +179,12 @@ TEST(ResNetST, GradientsMatchNumericThroughBothHeads) {
   ResNetST st(5, 12, 1, 5, rng);
   // Give the heads non-zero weights so gradients flow meaningfully.
   for (Param* p : st.parameters()) {
-    if (p->value.rows() > 0 && p->name.find(".s.") != std::string::npos) {
-      for (std::size_t i = 0; i < p->value.size(); ++i) {
-        p->value.data()[i] = static_cast<float>(rng.normal(0.0, 0.3));
-      }
+    if (p->value().rows() > 0 && p->name.find(".s.") != std::string::npos) {
+      p->write([&rng](Matrix& value) {
+        for (std::size_t i = 0; i < value.size(); ++i) {
+          value.data()[i] = static_cast<float>(rng.normal(0.0, 0.3));
+        }
+      });
     }
   }
   Matrix input = random_matrix(4, 5, rng);

@@ -21,13 +21,13 @@ TEST(Serialize, RoundTripPreservesValues) {
   save_params(stream, source.parameters());
   load_params(stream, dest.parameters());
 
-  for (std::size_t i = 0; i < source.weight().value.size(); ++i) {
-    EXPECT_FLOAT_EQ(dest.weight().value.data()[i],
-                    source.weight().value.data()[i]);
+  for (std::size_t i = 0; i < source.weight().value().size(); ++i) {
+    EXPECT_FLOAT_EQ(dest.weight().value().data()[i],
+                    source.weight().value().data()[i]);
   }
-  for (std::size_t i = 0; i < source.bias().value.size(); ++i) {
-    EXPECT_FLOAT_EQ(dest.bias().value.data()[i],
-                    source.bias().value.data()[i]);
+  for (std::size_t i = 0; i < source.bias().value().size(); ++i) {
+    EXPECT_FLOAT_EQ(dest.bias().value().data()[i],
+                    source.bias().value().data()[i]);
   }
 }
 
@@ -104,7 +104,7 @@ TEST(Serialize, FileRoundTrip) {
   const std::string path = ::testing::TempDir() + "pf_ckpt_test.bin";
   save_params_file(path, source.parameters());
   load_params_file(path, dest.parameters());
-  EXPECT_FLOAT_EQ(dest.weight().value(2, 2), source.weight().value(2, 2));
+  EXPECT_FLOAT_EQ(dest.weight().value()(2, 2), source.weight().value()(2, 2));
   std::remove(path.c_str());
 }
 
