@@ -3,7 +3,6 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -36,20 +35,19 @@ Matrix init_weight(std::size_t in, std::size_t out, util::Rng& rng,
 Linear::Linear(std::size_t in_features, std::size_t out_features,
                util::Rng& rng, Init init, const std::string& name)
     : weight_(name + ".weight", init_weight(in_features, out_features, rng, init)),
-      bias_(name + ".bias", Matrix(1, out_features)) {}
+      bias_(name + ".bias", Matrix(1, out_features)),
+      packed_weight_({&weight_}) {}
 
-void PackedWeights::matmul(const Matrix& input,
-                           std::initializer_list<const Param*> sources,
-                           Matrix& out) const {
+void PackedWeights::matmul(const Matrix& input, Matrix& out) const {
   const gemm::Backend backend = gemm::active_backend();
   std::uint64_t versions = 0;
-  for (const Param* p : sources) versions += p->version();
+  for (const Param* p : sources_) versions += p->version();
   const std::uint64_t key = versions << 2 | static_cast<std::uint64_t>(backend);
   if (key_.load(std::memory_order_acquire) != key) {
     const util::MutexLock lock(mu_);
     if (key_.load(std::memory_order_relaxed) != key) {
       std::vector<const Matrix*> blocks;
-      for (const Param* p : sources) blocks.push_back(&p->value());
+      for (const Param* p : sources_) blocks.push_back(&p->value());
       packed_.pack(backend, blocks);
       key_.store(key, std::memory_order_release);
     }
@@ -58,7 +56,7 @@ void PackedWeights::matmul(const Matrix& input,
 }
 
 void Linear::apply_into(const Matrix& input, Matrix& out) const {
-  packed_weight_.matmul(input, {&weight_}, out);
+  packed_weight_.matmul(input, out);
   add_row_vector(out, bias_.value());
 }
 

@@ -4,8 +4,8 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <initializer_list>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "nn/gemm.hpp"
@@ -30,17 +30,19 @@ enum class Init {
 // mu_ serialises the builds, so concurrent first calls build once.
 class PackedWeights {
  public:
-  PackedWeights() = default;
+  // The product reads [sources[0]->value() | sources[1]->value() | ...],
+  // the blocks side by side; the Params must outlive this object.
+  explicit PackedWeights(std::vector<const Param*> sources)
+      : sources_(std::move(sources)) {}
   PackedWeights(const PackedWeights&) = delete;
   PackedWeights& operator=(const PackedWeights&) = delete;
 
-  // out = input * [sources[0]->value() | sources[1]->value() | ...], with
-  // the bits of the matmul over that matrix. Every call on one object must
-  // pass the same sources.
-  void matmul(const Matrix& input, std::initializer_list<const Param*> sources,
-              Matrix& out) const;
+  // out = input * [W_0 | W_1 | ...], with the bits of the matmul over that
+  // matrix.
+  void matmul(const Matrix& input, Matrix& out) const;
 
  private:
+  const std::vector<const Param*> sources_;
   mutable util::Mutex mu_;
   mutable std::atomic<std::uint64_t> key_{0};
   // Written only under mu_, before key_ publishes it; read without the

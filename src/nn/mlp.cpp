@@ -82,7 +82,8 @@ ResNetST::ResNetST(std::size_t in_features, std::size_t hidden,
     : in_proj_(in_features, hidden, rng, Init::kHe, name + ".in"),
       in_act_(ActKind::kRelu),
       s_head_(hidden, out_features, rng, Init::kZero, name + ".s"),
-      t_head_(hidden, out_features, rng, Init::kZero, name + ".t") {
+      t_head_(hidden, out_features, rng, Init::kZero, name + ".t"),
+      packed_heads_({&s_head_.weight(), &t_head_.weight()}) {
   for (std::size_t i = 0; i < depth; ++i) {
     blocks_.push_back(std::make_unique<ResidualBlock>(
         hidden, rng, name + ".block" + std::to_string(i)));
@@ -113,8 +114,7 @@ void ResNetST::forward_inference(const Matrix& input, Scratch& scratch) const {
     block->forward_inference(scratch.trunk, scratch.hidden, scratch.next);
     std::swap(scratch.trunk, scratch.next);
   }
-  packed_heads_.matmul(scratch.trunk,
-                       {&s_head_.weight(), &t_head_.weight()}, scratch.st);
+  packed_heads_.matmul(scratch.trunk, scratch.st);
   // The bias add of each head, on its half of the columns.
   const std::size_t out = s_head_.out_features();
   const float* bs = s_head_.bias().value().data();
