@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <new>
 #include <string>
 #include <utility>
 #include <vector>
@@ -15,6 +16,13 @@
 #if defined(__x86_64__) && defined(__GNUC__)
 #define PASSFLOW_GEMM_X86 1
 #include <immintrin.h>
+#endif
+
+#if defined(_WIN32)
+#define PASSFLOW_GEMM_HAS_MMAP 0
+#else
+#define PASSFLOW_GEMM_HAS_MMAP 1
+#include <sys/mman.h>
 #endif
 
 namespace passflow::nn::gemm {
@@ -289,13 +297,18 @@ void blocked_impl(std::size_t m, std::size_t n, std::size_t k, const float* a,
   }
 }
 
+// Floats in a whole k x n operand packed for Tile.
+template <class Tile>
+std::size_t packed_floats(std::size_t k, std::size_t n) {
+  const std::size_t last_jc = n == 0 ? 0 : (n - 1) / kNC * kNC;
+  return packed_offset<Tile::kNR>(k, last_jc, n - last_jc, k);
+}
+
 // Packs the whole row-major k x n matrix b, every (jc, pc) block at its
 // packed_offset, for the product on a PackedB.
 template <class Tile>
-void pack_whole(const Matrix& b, std::vector<float>& panels) {
+void pack_whole(const Matrix& b, float* panels) {
   const std::size_t k = b.rows(), n = b.cols();
-  const std::size_t last_jc = n == 0 ? 0 : (n - 1) / kNC * kNC;
-  panels.resize(packed_offset<Tile::kNR>(k, last_jc, n - last_jc, k));
   const float* bd = b.data();
   const auto b_at = [bd, n](std::size_t p, std::size_t c) {
     return bd[p * n + c];
@@ -303,11 +316,33 @@ void pack_whole(const Matrix& b, std::vector<float>& panels) {
   for (std::size_t jc = 0; jc < n; jc += kNC) {
     const std::size_t nc = std::min(kNC, n - jc);
     for (std::size_t pc = 0; pc < k; pc += kKC) {
-      pack_panels<Tile::kNR>(
-          b_at, pc, std::min(kKC, k - pc), jc, nc,
-          panels.data() + packed_offset<Tile::kNR>(k, jc, nc, pc));
+      pack_panels<Tile::kNR>(b_at, pc, std::min(kKC, k - pc), jc, nc,
+                             panels + packed_offset<Tile::kNR>(k, jc, nc, pc));
     }
   }
+}
+
+// Whole pages for `count` floats, outside every malloc arena.
+float* map_floats(std::size_t count) {
+  if (count == 0) return nullptr;
+#if PASSFLOW_GEMM_HAS_MMAP
+  void* pages = mmap(nullptr, count * sizeof(float), PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (pages == MAP_FAILED) throw std::bad_alloc();
+  return static_cast<float*>(pages);
+#else
+  return new float[count];
+#endif
+}
+
+void unmap_floats(float* floats, std::size_t count) {
+  if (floats == nullptr) return;
+#if PASSFLOW_GEMM_HAS_MMAP
+  munmap(floats, count * sizeof(float));
+#else
+  (void)count;
+  delete[] floats;
+#endif
 }
 
 // Runs `fn` with the host kernel's tile type, as fn(Tile{}).
@@ -635,17 +670,25 @@ void PackedB::pack(Backend be, const std::vector<const Matrix*>& blocks) {
   backend_ = sanitize(be);
   k_ = k;
   n_ = n;
+  unmap_floats(panels_, panel_floats_);
+  panels_ = nullptr;
+  panel_floats_ = 0;
+  row_major_ = Matrix();
   if (backend_ == Backend::kBlocked) {
-    with_host_tile(
-        [&](auto tile) { pack_whole<decltype(tile)>(b, panels_); });
-    row_major_ = Matrix();
+    with_host_tile([&](auto tile) {
+      using Tile = decltype(tile);
+      panels_ = map_floats(packed_floats<Tile>(k, n));
+      panel_floats_ = packed_floats<Tile>(k, n);
+      pack_whole<Tile>(b, panels_);
+    });
   } else {
     g_packed_bytes.fetch_add(b.size() * sizeof(float),
                              std::memory_order_relaxed);
     row_major_ = std::move(b);
-    panels_ = std::vector<float>();
   }
 }
+
+PackedB::~PackedB() { unmap_floats(panels_, panel_floats_); }
 
 void gemm_nn(const Matrix& a, const PackedB& b, Matrix& out) {
   assert(a.cols() == b.rows());
@@ -654,7 +697,7 @@ void gemm_nn(const Matrix& a, const PackedB& b, Matrix& out) {
     return;
   }
   const std::size_t k = b.rows();
-  const float* panels = b.panels_.data();
+  const float* panels = b.panels_;
   with_host_tile([&](auto tile) {
     using Tile = decltype(tile);
     blocked_impl<Tile>(

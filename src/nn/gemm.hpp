@@ -72,6 +72,11 @@ void gemm_nt(Backend be, const Matrix& a, const Matrix& b, Matrix& out);
 // to the tile width. The naive and blas backends read a row-major copy.
 class PackedB {
  public:
+  PackedB() = default;
+  ~PackedB();
+  PackedB(const PackedB&) = delete;
+  PackedB& operator=(const PackedB&) = delete;
+
   // Packs B = [blocks[0] | blocks[1] | ...], the blocks side by side (all
   // with the same row count), for backend `be` (kBlocked when `be` is not
   // available).
@@ -87,8 +92,14 @@ class PackedB {
   Backend backend_ = Backend::kBlocked;
   std::size_t k_ = 0;
   std::size_t n_ = 0;
-  std::vector<float> panels_;  // kBlocked
-  Matrix row_major_;           // kNaive, kBlas
+  // kBlocked. The panels get pages of their own rather than a malloc
+  // arena's: a copy is built by whichever thread first runs its product
+  // and lives as long as the model, and amid a pool worker's short-lived
+  // allocations it would keep that arena's pages resident after the model
+  // is freed.
+  float* panels_ = nullptr;
+  std::size_t panel_floats_ = 0;
+  Matrix row_major_;  // kNaive, kBlas
 };
 
 // out = a * B on the backend B was packed for. Each element has the bits
