@@ -677,8 +677,8 @@ void PackedB::pack(Backend be, const std::vector<const Matrix*>& blocks) {
   if (backend_ == Backend::kBlocked) {
     with_host_tile([&](auto tile) {
       using Tile = decltype(tile);
-      panels_ = map_floats(packed_floats<Tile>(k, n));
       panel_floats_ = packed_floats<Tile>(k, n);
+      panels_ = map_floats(panel_floats_);
       pack_whole<Tile>(b, panels_);
     });
   } else {
