@@ -84,7 +84,7 @@ void pack_panels(BGet b_at, std::size_t pc, std::size_t kc, std::size_t jc,
 }
 
 // Where the panels of the (jc, pc) block start in a whole k x n operand
-// packed block after block, in the driver's loop order: every earlier
+// packed block after block, in blocked_impl's loop order: every earlier
 // column block holds kNC * k floats, and every earlier k block of this
 // column block round_up(nc, NR) * kc.
 template <std::size_t kNR>
@@ -257,7 +257,7 @@ void macro_kernel(std::size_t mc, std::size_t nc, std::size_t kc,
 // Generic blocked driver for the logical (m x k) * (k x n) product. The
 // tiles read A(r, p) = a[r * rs + p * ks] in place, and panels(jc, nc, pc,
 // kc) returns the packed B(pc:pc+kc, jc:jc+nc) block: packed on the spot
-// through an element accessor, which lets one driver serve matmul,
+// through an element accessor, which lets one loop nest serve matmul,
 // matmul_tn and matmul_nt (the strides and the accessor absorb the
 // transposes), or read from a PackedB. Summation over k runs in ascending
 // order for every output element regardless of OpenMP thread count, so
